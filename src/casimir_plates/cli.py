@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -220,8 +219,7 @@ def cmd_extract(args, cfg) -> int:
     if args.lambda_grid is not None:
         grid = _float_list(args.lambda_grid)
     else:
-        # default grid spans the supported window of lambda * pi / a
-        grid = [r * a / math.pi for r in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5)]
+        grid = regsum.default_lambda_grid(a)
     result = regsum.extract_finite_part(a, grid, units)
     reference = regsum.casimir_closed_form(a, units)
     rel_error = abs(result.finite_part - reference) / reference

@@ -28,6 +28,7 @@ pi^2 hbar c / (240 a^4).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numerics import (
-    QuadratureResult,
     fit_linear_basis,
     integrate_semi_infinite,
     sum_until_tail_bound,
@@ -61,6 +61,7 @@ __all__ = [
     "series_terms",
     "series_value",
     "asymptotic_parts",
+    "default_lambda_grid",
     "extract_finite_part",
     "casimir_closed_form",
     "evaluate_route",
@@ -186,13 +187,19 @@ def bernoulli_numbers(h_max: int) -> BernoulliTable:
     """
     if h_max < 4:
         raise ValueError("h_max must be at least 4")
+    return BernoulliTable(values=_bernoulli_values(h_max))
+
+
+@functools.lru_cache(maxsize=32)
+def _bernoulli_values(h_max: int) -> tuple[Fraction, ...]:
+    """B_0..B_h_max, computed once per h_max (the table is immutable)."""
     values = [Fraction(1)]
     for m in range(1, h_max + 1):
         acc = Fraction(0)
         for j in range(m):
             acc += math.comb(m + 1, j) * values[j]
         values.append(-acc / (m + 1))
-    return BernoulliTable(values=tuple(values))
+    return tuple(values)
 
 
 def _prefactor(a: float, units: UnitSystem) -> float:
@@ -235,49 +242,61 @@ def _tail_bound_factory(a: float, lam: float, units: UnitSystem):
     return lambda n: scale * _geometric_tail(n, q, one_minus_q)
 
 
-def _radial_integral(a: float, lam: float, n: int, tol: float) -> QuadratureResult:
-    """R_n by quadrature, via the substitution kappa^2 = (n pi / a)^2 z.
+#: force_sum_numeric integrates the radial integrals in blocks of
+#: consecutive n.  Each block is as long as all before it together, from
+#: _FIRST_BLOCK up to _MAX_BLOCK, which bounds both the integrals computed
+#: past the term where the tail-bounded sum stops and the size of the
+#: quadrature's work arrays.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 512
+
+
+def _radial_integrals(a: float, lam: float, ns: np.ndarray,
+                      tol: float) -> np.ndarray:
+    """R_n for each n in ``ns`` by quadrature, via kappa^2 = (n pi / a)^2 z.
 
     That substitution turns R_n into (M/2) * K(lam M) with M = n pi / a and
     K(beta) = integral_0^inf (z+1)^(-1/2) exp(-beta sqrt(z+1)) dz.  The
-    integrand of K peaks near z = 0 for large beta and decays like
-    exp(-beta sqrt(z)); hint points around z ~ (3/beta)^2 scale guide the
-    subdivision.
+    integrand of K decays like exp(-beta z / 2) near z = 0 when beta is
+    large and like exp(-beta sqrt(z)) far out when beta is small, so the
+    exp-sinh scale of each row is the sum of the two decay lengths.
     """
-    big_m = n * math.pi / a
+    big_m = ns[:, None] * math.pi / a
     beta = lam * big_m
 
-    def integrand(z: float) -> float:
-        root = math.sqrt(z + 1.0)
-        return math.exp(-beta * root) / root
+    def integrand(z: np.ndarray) -> np.ndarray:
+        root = np.sqrt(z + 1.0)
+        return np.exp(-beta * root) / root
 
-    u_star = (beta / 3.0) ** 2
-    hints = [1.0 / (f * u_star) - 1.0
-             for f in (0.1, 1.0, 10.0)
-             if 0.0 < f * u_star < 1.0]
-    kernel = integrate_semi_infinite(integrand, tol, interior_points=hints)
-    return QuadratureResult(value=0.5 * big_m * kernel.value,
-                            error_estimate=0.5 * big_m * kernel.error_estimate,
-                            evaluations=kernel.evaluations)
+    scale = 1.0 / beta**2 + 2.0 / beta
+    kernel = integrate_semi_infinite(integrand, tol, scale=scale)
+    return 0.5 * big_m[:, 0] * kernel.value
 
 
 def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
                       *, tol: float = 1e-10, n_max: int = 4000) -> float:
     """Regularized force per unit area by numerical n-sum and quadrature.
 
-    Each radial integral is evaluated by adaptive quadrature at a tolerance
-    one decade below ``tol``; the n-sum stops once the exact geometric tail
-    bound falls below tol * |partial sum|.  No closed-form knowledge of the
-    radial integral or of the summed series enters this route.
+    Each radial integral is evaluated by double-exponential quadrature at a
+    tolerance one decade below ``tol``, a block of consecutive n at a time;
+    the n-sum stops once the exact geometric tail bound falls below
+    tol * |partial sum|.  No closed-form knowledge of the radial integral or
+    of the summed series enters this route.
 
     Raises TailBoundError if n_max terms never meet the bound (lambda too
     small for the given n_max) and QuadratureError if an integral fails.
     """
     lam = reg.lam
     pref = _prefactor(a, units)
+    terms: list[float] = []
 
     def term(n: int) -> float:
-        return pref * n * n * _radial_integral(a, lam, n, 0.1 * tol).value
+        if n > len(terms):
+            size = min(max(_FIRST_BLOCK, len(terms)), _MAX_BLOCK)
+            ns = np.arange(len(terms) + 1, min(len(terms) + size, n_max) + 1)
+            radial = _radial_integrals(a, lam, ns, 0.1 * tol)
+            terms.extend((pref * ns * ns * radial).tolist())
+        return terms[n - 1]
 
     return sum_until_tail_bound(term, _tail_bound_factory(a, lam, units),
                                 tol, max_terms=n_max)
@@ -326,6 +345,12 @@ def _series_coefficient(h: int, table: BernoulliTable) -> Fraction:
     return Fraction(-sign * (h - 1) * (h - 2), 2) * table[h] / math.factorial(h)
 
 
+def _check_series_order(h_max: int) -> None:
+    if h_max < 5:
+        raise ValueError("h_max must be at least 5 to reach past the "
+                         "finite part")
+
+
 def series_terms(a: float, reg: Regulator, h_max: int,
                  units: UnitSystem = NATURAL) -> list[SeriesTerm]:
     """Terms of the asymptotic expansion of F(a, lambda) through order h_max.
@@ -341,9 +366,7 @@ def series_terms(a: float, reg: Regulator, h_max: int,
     expansion is asymptotic in lam, so h_max is a truncation order, not a
     convergence knob.
     """
-    if h_max < 5:
-        raise ValueError("h_max must be at least 5 to reach past the "
-                         "finite part")
+    _check_series_order(h_max)
     table = bernoulli_numbers(h_max)
     lam = reg.lam
     terms = []
@@ -365,9 +388,10 @@ def series_value(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     first omitted nonvanishing term, the usual heuristic for an asymptotic
     series.
     """
-    total = sum(t.value for t in series_terms(a, reg, h_max, units))
-    next_terms = [t for t in series_terms(a, reg, h_max + 2, units)
-                  if t.h > h_max]
+    _check_series_order(h_max)
+    terms = series_terms(a, reg, h_max + 2, units)
+    total = sum(t.value for t in terms if t.h <= h_max)
+    next_terms = [t for t in terms if t.h > h_max]
     estimate = abs(next_terms[0].value) if next_terms else 0.0
     return total, estimate
 
@@ -390,6 +414,23 @@ def asymptotic_parts(a: float, units: UnitSystem = NATURAL) -> AsymptoticParts:
 def casimir_closed_form(a: float, units: UnitSystem = NATURAL) -> float:
     """Magnitude pi^2 hbar c / (240 a^4) of the attractive Casimir pressure."""
     return math.pi**2 * units.hbar_c / (240.0 * a**4)
+
+
+def default_lambda_grid(a: float) -> list[float]:
+    """Six cutoffs spanning the window that extract_finite_part accepts.
+
+    The points sit at lambda pi / a = 0.05, 0.08, 0.12, 0.2, 0.3 and 0.5.
+    Rounding in r a / pi can leave lambda pi / a one ulp above the window's
+    top; such a point steps down to the nearest double inside it.
+    """
+    hi = _EXTRACT_RATIO_WINDOW[1]
+    grid = []
+    for ratio in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5):
+        lam = ratio * a / math.pi
+        while lam * math.pi / a > hi:
+            lam = math.nextafter(lam, 0.0)
+        grid.append(lam)
+    return grid
 
 
 def extract_finite_part(a: float,

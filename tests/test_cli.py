@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,15 @@ class TestExtract:
             math.pi**2 / 240.0, rel=1e-15)
         assert doc["exponents"] == [-4.0, 0.0, 1.0, 2.0]
 
+    def test_default_grid_top_point_stays_in_window(self, capsys):
+        # 0.5 a / pi rounds to lambda pi / a = 0.5000000000000001 here
+        a = 0.8296057123842422
+        code, out, _ = run_cli(capsys, "extract", "--a", repr(a), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.5 - 1e-15 <= doc["lambda_grid"][-1] * math.pi / a <= 0.5
+        assert doc["finite_part_rel_error"] < 1e-4
+
     def test_clustered_grid_exits_1(self, capsys):
         grid = ",".join(str((0.3 + i * 1e-6) / math.pi) for i in range(5))
         code, _, err = run_cli(capsys, "extract", "--a", "1",
@@ -233,3 +246,15 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "key = value" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, casimir_plates.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

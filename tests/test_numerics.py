@@ -21,39 +21,38 @@ from casimir_plates.numerics import (
 
 class TestIntegrateSemiInfinite:
     def test_plain_exponential(self):
-        res = integrate_semi_infinite(lambda x: math.exp(-x), 1e-12)
+        res = integrate_semi_infinite(lambda x: np.exp(-x), 1e-12)
         assert res.value == pytest.approx(1.0, rel=1e-12)
         assert res.error_estimate < 1e-10
         assert res.evaluations > 0
 
     def test_cubic_exponential(self):
-        res = integrate_semi_infinite(lambda x: x**3 * math.exp(-x), 1e-12)
+        res = integrate_semi_infinite(lambda x: x**3 * np.exp(-x), 1e-12)
         assert res.value == pytest.approx(6.0, rel=1e-12)
 
     def test_decaying_sqrt_kernel(self):
         # integral of (z+1)^(-1/2) exp(-sqrt(z+1)) over [0, inf) is 2/e,
         # computed independently from the antiderivative -2 exp(-sqrt(z+1))
         def integrand(z):
-            root = math.sqrt(z + 1.0)
-            return math.exp(-root) / root
+            root = np.sqrt(z + 1.0)
+            return np.exp(-root) / root
 
         res = integrate_semi_infinite(integrand, 1e-12)
         assert res.value == pytest.approx(0.7357588823428847, rel=1e-11)
 
-    def test_interior_points_hint(self):
+    def test_sharp_kernel_without_hints(self):
         beta = 40.0
 
         def integrand(z):
-            root = math.sqrt(z + 1.0)
-            return math.exp(-beta * root) / root
+            root = np.sqrt(z + 1.0)
+            return np.exp(-beta * root) / root
 
         exact = 2.0 * math.exp(-beta) / beta
-        hinted = integrate_semi_infinite(integrand, 1e-11,
-                                         interior_points=[0.5, 5.0])
-        assert hinted.value == pytest.approx(exact, rel=1e-9)
+        res = integrate_semi_infinite(integrand, 1e-11)
+        assert res.value == pytest.approx(exact, rel=1e-9)
 
     def test_deterministic(self):
-        f = lambda x: x * math.exp(-2.0 * x)
+        f = lambda x: x * np.exp(-2.0 * x)
         first = integrate_semi_infinite(f, 1e-10)
         second = integrate_semi_infinite(f, 1e-10)
         assert first.value == second.value
@@ -62,14 +61,60 @@ class TestIntegrateSemiInfinite:
 
     def test_failure_carries_estimate(self):
         with pytest.raises(QuadratureError) as info:
-            integrate_semi_infinite(lambda x: x**3 * math.exp(-x), 1e-13,
+            integrate_semi_infinite(lambda x: x**3 * np.exp(-x), 1e-13,
                                     limit=1)
         assert info.value.evaluations > 0
         assert math.isfinite(info.value.value)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: math.exp(-x), 0.0)
+            integrate_semi_infinite(lambda x: np.exp(-x), 0.0)
+
+    @staticmethod
+    def _sqrt_kernel_block(betas, tol):
+        beta = np.asarray(betas, dtype=float)[:, None]
+
+        def integrand(z):
+            root = np.sqrt(z + 1.0)
+            return np.exp(-beta * root) / root
+
+        return integrate_semi_infinite(integrand, tol,
+                                       scale=1.0 / beta**2 + 2.0 / beta)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-11, 1e-13])
+    def test_block_error_estimate_bounds_error(self, tol):
+        betas = np.geomspace(1e-3, 60.0, 200)
+        res = self._sqrt_kernel_block(betas, tol)
+        # the exact value is used here only, to judge the estimate
+        exact = 2.0 * np.exp(-betas) / betas
+        assert res.value.shape == res.error_estimate.shape == betas.shape
+        assert np.all(res.error_estimate >= np.abs(res.value - exact))
+        assert np.all(res.error_estimate > 0.0)
+        # relative accuracy holds down to K(60) ~ 3e-28 as well
+        assert np.all(np.abs(res.value - exact) <= tol * exact)
+
+    def test_block_rows_match_single_rows(self):
+        betas = [0.01, 0.3, 2.0, 25.0]
+        block = self._sqrt_kernel_block(betas, 1e-11)
+        for i, beta in enumerate(betas):
+            single = self._sqrt_kernel_block([beta], 1e-11)
+            assert block.value[i] == single.value[0]
+            assert block.error_estimate[i] == single.error_estimate[0]
+
+    def test_block_failure_carries_rows(self):
+        beta = np.array([[0.5], [5.0]])
+        with pytest.raises(QuadratureError) as info:
+            integrate_semi_infinite(lambda z: np.exp(-beta * z), 1e-12,
+                                    scale=np.ones((2, 1)), limit=2)
+        assert info.value.value.shape == (2,)
+        assert np.all(np.isfinite(info.value.value))
+        assert info.value.evaluations == 2 * 33
+
+    def test_truncated_end_raises(self):
+        # with the scale far below the decay length, the rule's right end
+        # sits at x = 4e18 s = 20, where exp(-x) is still 2e-9
+        with pytest.raises(QuadratureError, match="ends"):
+            integrate_semi_infinite(lambda x: np.exp(-x), 1e-10, scale=5e-18)
 
 
 class TestSumUntilTailBound:

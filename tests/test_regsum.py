@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from casimir_plates.regsum import (
     bernoulli_numbers,
     casimir_closed_form,
     decompose,
+    default_lambda_grid,
     evaluate_route,
     extract_finite_part,
     force_closed_form,
@@ -148,6 +150,8 @@ class TestSeries:
     def test_rejects_small_h_max(self):
         with pytest.raises(ValueError):
             series_terms(1.0, Regulator(0.1), 4)
+        with pytest.raises(ValueError):
+            series_value(1.0, Regulator(0.1), NATURAL, h_max=4)
 
     def test_series_approximates_closed_form(self):
         a, reg = 1.0, Regulator(0.05 / math.pi)
@@ -208,6 +212,18 @@ class TestExtraction:
     def test_rejects_out_of_window_grid(self):
         with pytest.raises(ValueError):
             extract_finite_part(1.0, [r / math.pi for r in (0.05, 0.1, 0.2, 0.7)])
+
+    def test_default_grid_inside_window(self):
+        # r a / pi rounds lambda pi / a above 0.5 for 149 of these a
+        nominal_ratios = (0.05, 0.08, 0.12, 0.2, 0.3, 0.5)
+        for a in np.linspace(0.5, 2.0, 2001).tolist():
+            grid = default_lambda_grid(a)
+            assert all(0.01 <= lam * math.pi / a <= 0.5 for lam in grid)
+            for lam, ratio in zip(grid, nominal_ratios):
+                nominal = ratio * a / math.pi
+                if nominal * math.pi / a <= 0.5:
+                    assert lam == nominal
+            extract_finite_part(a, grid)
 
     def test_clustered_grid_is_ill_conditioned(self):
         grid = [(0.3 + i * 1e-6) / math.pi for i in range(5)]

@@ -94,6 +94,10 @@ _DE_T_MAX = 4.0
 _DE_H0 = 0.5
 #: Rounding allowance of the error estimate, in units of eps * h * sum |g|.
 _DE_ROUNDING = 4.0 * np.finfo(float).eps
+#: Absolute floor of the convergence test: the smallest normal float.
+#: Below it values are subnormal and lose relative precision, so a
+#: relative test need not pass however fine the step.
+_DE_FLOOR = np.finfo(float).tiny
 
 
 def integrate_semi_infinite(
@@ -113,9 +117,10 @@ def integrate_semi_infinite(
     trapezoid rule in t converges geometrically in 1/h.  The step starts
     at 0.5 on |t| <= 4 and is halved, reusing every earlier node, until two
     successive levels differ by at most ``tol`` times the integral of |f|
-    (the integral itself when f keeps one sign, and no absolute floor, so
-    tiny integrals keep their relative accuracy); at most ``limit`` levels
-    are computed.  ``scale`` (s) should sit near where f carries its mass.
+    (the integral itself when f keeps one sign) or by the smallest normal
+    float, whichever is larger, so the relative test holds for integrals
+    above tiny / tol and integrals in the subnormal range still converge;
+    at most ``limit`` levels are computed.  ``scale`` (s) should sit near where f carries its mass.
 
     ``integrand`` receives an array of abscissae and returns f elementwise.
     With a scalar ``scale`` the abscissae have shape (k,) and the result
@@ -128,8 +133,8 @@ def integrate_semi_infinite(
 
     The error estimate of a row is the difference between its last two
     levels, which bounds the error of the finer one while the rule
-    converges, plus the truncated end terms at |t| = 4 and a rounding
-    allowance.  Raises QuadratureError, carrying the last values and
+    converges, plus the truncated end terms at |t| = 4, a rounding
+    allowance and the smallest normal float.  Raises QuadratureError, carrying the last values and
     estimates, if a row does not converge within ``limit`` levels or its
     end terms exceed the tolerance.
     """
@@ -164,8 +169,9 @@ def integrate_semi_infinite(
         finer = h * total
         change = np.abs(finer - value)
         value = finer
-        estimate = change + h * ends + _DE_ROUNDING * h * magnitude
-        bound = tol * h * magnitude
+        estimate = (change + h * ends + _DE_ROUNDING * h * magnitude
+                    + _DE_FLOOR)
+        bound = np.maximum(tol * h * magnitude, _DE_FLOOR)
         done = pending & (change <= bound)
         value_at = np.where(done, value, value_at)
         estimate_at = np.where(done, estimate, estimate_at)

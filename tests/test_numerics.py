@@ -93,6 +93,18 @@ class TestIntegrateSemiInfinite:
         # relative accuracy holds down to K(60) ~ 3e-28 as well
         assert np.all(np.abs(res.value - exact) <= tol * exact)
 
+    def test_subnormal_rows_converge_with_honest_estimates(self):
+        # integrals below the smallest normal float are sums of subnormal
+        # values, which carry relative rounding errors far above tol
+        scales = np.geomspace(1e-321, 1e-300, 400)[:, None]
+        res = integrate_semi_infinite(lambda x: scales * np.exp(-x), 1e-11,
+                                      scale=np.ones_like(scales))
+        exact = scales[:, 0]
+        assert np.all(res.error_estimate >= np.abs(res.value - exact))
+        normal = exact >= 1e-290
+        assert np.all(np.abs(res.value - exact)[normal]
+                      <= 1e-11 * exact[normal])
+
     def test_block_rows_match_single_rows(self):
         betas = [0.01, 0.3, 2.0, 25.0]
         block = self._sqrt_kernel_block(betas, 1e-11)

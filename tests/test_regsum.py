@@ -119,6 +119,25 @@ class TestNumericSum:
         closed = force_closed_form(a, reg, NATURAL)
         assert numeric == pytest.approx(closed, rel=1e-9)
 
+    @pytest.mark.parametrize("ratio", [12.0, 5.0 * math.pi, 20.0, 360.0,
+                                       650.0])
+    def test_matches_closed_form_at_large_cutoffs(self, ratio):
+        # the first block of radial integrals then reaches the subnormal
+        # range (lambda pi n / a > 708) long before the sum stops
+        a = 1.0
+        reg = Regulator(ratio * a / math.pi)
+        numeric = force_sum_numeric(a, reg, NATURAL, tol=1e-10)
+        closed = force_closed_form(a, reg, NATURAL)
+        assert numeric == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [700.0, 722.6, 740.0])
+    def test_subnormal_force_does_not_raise(self, ratio):
+        a = 1.0
+        reg = Regulator(ratio * a / math.pi)
+        numeric = force_sum_numeric(a, reg, NATURAL, tol=1e-10)
+        closed = force_closed_form(a, reg, NATURAL)
+        assert abs(numeric - closed) <= 1e-4 * abs(closed) + 1e-320
+
     def test_tail_bound_exhaustion(self):
         # at lambda pi / a = 0.05 the sum needs several hundred terms
         with pytest.raises(TailBoundError) as info:

@@ -41,7 +41,9 @@ __all__ = [
     "wave_vector",
     "mode_amplitudes",
     "electric_mode_at",
+    "electric_mode_on_grid",
     "magnetic_mode_at",
+    "magnetic_mode_on_grid",
     "transversality_residual",
     "divergence_residual",
     "amplitude_norm_squared",
@@ -125,17 +127,12 @@ class WaveVector:
 
     def phases(self, x, y, z):
         """Return (t_x, t_y, t_z) such that k_i * coord = pi * t_i."""
+        x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
         if self.mode is not None and self.geom is not None:
-            return (
-                self.mode.n_x * (np.asarray(x, dtype=float) / self.geom.L),
-                self.mode.n_y * (np.asarray(y, dtype=float) / self.geom.L),
-                self.mode.n_z * (np.asarray(z, dtype=float) / self.geom.a),
-            )
-        return (
-            self.k_x * np.asarray(x, dtype=float) / np.pi,
-            self.k_y * np.asarray(y, dtype=float) / np.pi,
-            self.k_z * np.asarray(z, dtype=float) / np.pi,
-        )
+            return (self.mode.n_x * (x / self.geom.L),
+                    self.mode.n_y * (y / self.geom.L),
+                    self.mode.n_z * (z / self.geom.a))
+        return self.k_x * x / np.pi, self.k_y * y / np.pi, self.k_z * z / np.pi
 
 
 @dataclass(frozen=True)
@@ -199,6 +196,28 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     return ModeAmplitudes(a_x=float(amp[0]), a_y=float(amp[1]), a_z=float(amp[2]))
 
 
+def _electric_field(tx, ty, tz, amp: ModeAmplitudes) -> np.ndarray:
+    """E from phase arrays that broadcast; each sin and cos is taken once."""
+    sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
+    cx, cy, cz = _cospi(tx), _cospi(ty), _cospi(tz)
+    return np.stack([amp.a_x * cx * sy * sz,
+                     amp.a_y * sx * cy * sz,
+                     amp.a_z * sx * sy * cz], axis=-1)
+
+
+def _magnetic_field(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes,
+                    omega: float) -> np.ndarray:
+    """curl(E)/omega from broadcastable phase arrays; see _electric_field."""
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
+    cx, cy, cz = _cospi(tx), _cospi(ty), _cospi(tz)
+    b_x = (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz
+    b_y = -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz
+    b_z = (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz
+    return np.stack([b_x, b_y, b_z], axis=-1) / omega
+
+
 def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     """Electric field of the mode at one point or a batch of points.
 
@@ -207,11 +226,13 @@ def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     components are exactly 0.0 on the plates z = 0 and z = a.
     """
     p = np.asarray(point, dtype=float)
-    tx, ty, tz = wv.phases(p[..., 0], p[..., 1], p[..., 2])
-    e_x = amp.a_x * _cospi(tx) * _sinpi(ty) * _sinpi(tz)
-    e_y = amp.a_y * _sinpi(tx) * _cospi(ty) * _sinpi(tz)
-    e_z = amp.a_z * _sinpi(tx) * _sinpi(ty) * _cospi(tz)
-    return np.stack([e_x, e_y, e_z], axis=-1)
+    return _electric_field(*wv.phases(*np.moveaxis(p, -1, 0)), amp)
+
+
+def electric_mode_on_grid(x, y, z, wv: WaveVector,
+                          amp: ModeAmplitudes) -> np.ndarray:
+    """electric_mode_at, bit for bit, on the grid of broadcasting x, y, z."""
+    return _electric_field(*wv.phases(x, y, z), amp)
 
 
 def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
@@ -221,14 +242,14 @@ def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
     The normal component B_z is exactly 0.0 on both plates.  See the module
     docstring for the dropped quarter-period phase.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
     p = np.asarray(point, dtype=float)
-    tx, ty, tz = wv.phases(p[..., 0], p[..., 1], p[..., 2])
-    b_x = (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * _sinpi(tx) * _cospi(ty) * _cospi(tz)
-    b_y = -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * _cospi(tx) * _sinpi(ty) * _cospi(tz)
-    b_z = (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * _cospi(tx) * _cospi(ty) * _sinpi(tz)
-    return np.stack([b_x, b_y, b_z], axis=-1) / omega
+    return _magnetic_field(*wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, omega)
+
+
+def magnetic_mode_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes,
+                          omega: float) -> np.ndarray:
+    """Magnetic amplitude profile on a grid; see electric_mode_on_grid."""
+    return _magnetic_field(*wv.phases(x, y, z), wv, amp, omega)
 
 
 def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:

@@ -2,11 +2,12 @@
 
 Every routine here is deterministic (same inputs give bit-identical outputs)
 and reports an explicit error measure, either in its result type or in the
-exception it raises.  Nothing keeps internal state.
+exception it raises.  The only state kept is a cache of Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -323,69 +324,58 @@ def curl_fd(
 _GL_LEVELS = (8, 16, 32, 64, 128, 256)
 
 
-def _gl_nodes(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=len(_GL_LEVELS))
+def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    # map [-1, 1] -> [0, length]
-    return 0.5 * length * (x + 1.0), 0.5 * length * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def mean_over_rectangle(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lx: float,
-    ly: float,
-    tol: float,
-) -> QuadratureResult:
-    """Mean of f over [0,lx] x [0,ly] by node-doubling Gauss-Legendre.
+def _grid_mean(f: Callable[..., np.ndarray], lengths: tuple[float, ...],
+               tol: float) -> QuadratureResult:
+    """Mean of f over [0, lengths[0]] x ... by node-doubling Gauss-Legendre.
 
-    ``f`` must accept meshgrid arrays and return an array of the same shape.
-    Convergence is declared when successive levels agree to ``tol``
-    relatively (or both fall below the absolute floor); the error estimate
-    is the last inter-level difference.
+    ``f`` receives one node array per axis, shaped to broadcast against the
+    others ((n, 1) and (1, n) on a rectangle), and returns the values on the
+    grid.  Levels double while the grid holds at most 128^3 points: up to 256
+    nodes per axis on a rectangle, 128 on a box.  Converged when successive
+    levels agree to ``tol`` relatively (or both fall below the absolute
+    floor); the error estimate is the last inter-level difference.
     """
+    dims = len(lengths)
+    axes = "ijklmn"[:dims]
+    subscripts = ",".join(axes) + "," + axes + "->"
     prev = None
     evaluations = 0
     estimate = math.inf
     for n in _GL_LEVELS:
-        xs, wx = _gl_nodes(n, lx)
-        ys, wy = _gl_nodes(n, ly)
-        vals = f(xs[:, None], ys[None, :])
-        integral = float(np.einsum("i,j,ij->", wx, wy, vals))
-        mean = integral / (lx * ly)
-        evaluations += n * n
+        if n**dims > 128**3:
+            break
+        x, w = _gl_reference(n)
+        # map [-1, 1] -> [0, length] on each axis
+        vals = f(*np.ix_(*(0.5 * length * (x + 1.0) for length in lengths)))
+        weights = [0.5 * length * w for length in lengths]
+        integral = float(np.einsum(subscripts, *weights, vals))
+        mean = integral / math.prod(lengths)
+        evaluations += n**dims
         if prev is not None:
             estimate = abs(mean - prev)
             if estimate <= max(tol * abs(mean), ABS_FLOOR):
                 return QuadratureResult(mean, estimate, evaluations)
         prev = mean
     raise QuadratureError(
-        f"rectangle mean did not converge below tol={tol:g}",
+        f"{dims}-D Gauss-Legendre mean did not converge below tol={tol:g}",
         value=prev, error_estimate=estimate, evaluations=evaluations)
 
 
-def mean_over_box(
-    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    lx: float,
-    ly: float,
-    lz: float,
-    tol: float,
-) -> QuadratureResult:
-    """Mean of f over the box [0,lx] x [0,ly] x [0,lz]; see mean_over_rectangle."""
-    prev = None
-    evaluations = 0
-    estimate = math.inf
-    for n in _GL_LEVELS[:5]:  # 128^3 points is the practical ceiling
-        xs, wx = _gl_nodes(n, lx)
-        ys, wy = _gl_nodes(n, ly)
-        zs, wz = _gl_nodes(n, lz)
-        vals = f(xs[:, None, None], ys[None, :, None], zs[None, None, :])
-        integral = float(np.einsum("i,j,k,ijk->", wx, wy, wz, vals))
-        mean = integral / (lx * ly * lz)
-        evaluations += n**3
-        if prev is not None:
-            estimate = abs(mean - prev)
-            if estimate <= max(tol * abs(mean), ABS_FLOOR):
-                return QuadratureResult(mean, estimate, evaluations)
-        prev = mean
-    raise QuadratureError(
-        f"box mean did not converge below tol={tol:g}",
-        value=prev, error_estimate=estimate, evaluations=evaluations)
+def mean_over_rectangle(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        lx: float, ly: float, tol: float) -> QuadratureResult:
+    """Mean of f(x, y) over [0,lx] x [0,ly]; see _grid_mean."""
+    return _grid_mean(f, (lx, ly), tol)
+
+
+def mean_over_box(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+                  lx: float, ly: float, lz: float, tol: float) -> QuadratureResult:
+    """Mean of f(x, y, z) over [0,lx] x [0,ly] x [0,lz]; see _grid_mean."""
+    return _grid_mean(f, (lx, ly, lz), tol)

@@ -90,6 +90,12 @@ class PrecisionLossError(ValueError):
     """Closed-form evaluation requested in a catastrophic-cancellation regime."""
 
 
+def _check_separation(a: float) -> None:
+    """Reject a separation as CavityGeometry does; every entry taking a calls it."""
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"a must be positive and finite, got {a!r}")
+
+
 @dataclass(frozen=True)
 class Regulator:
     """Exponential cutoff exp(-lambda k); lam is the cutoff length."""
@@ -215,6 +221,7 @@ def per_n_term(a: float, reg: Regulator, n: int,
     exp(-lambda n pi / a), so the term is
     -(hbar c / (2 pi a)) (n pi / a)^2 (1/lambda) exp(-lambda n pi / a).
     """
+    _check_separation(a)
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = reg.lam
@@ -286,6 +293,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     Raises TailBoundError if n_max terms never meet the bound (lambda too
     small for the given n_max) and QuadratureError if an integral fails.
     """
+    _check_separation(a)
     lam = reg.lam
     pref = _prefactor(a, units)
     terms: list[float] = []
@@ -305,6 +313,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
 def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
                     *, tol: float = 1e-12, n_max: int = 200_000) -> float:
     """Regularized force per unit area by summing the exact per-n terms."""
+    _check_separation(a)
     lam = reg.lam
 
     def term(n: int) -> float:
@@ -328,6 +337,7 @@ def force_closed_form(a: float, reg: Regulator,
     the (1-q)^3 denominator has lost half the mantissa; such calls raise
     PrecisionLossError rather than return garbage.
     """
+    _check_separation(a)
     lam = reg.lam
     x = lam * math.pi / a
     if x < _MIN_CUTOFF_RATIO:
@@ -366,6 +376,7 @@ def series_terms(a: float, reg: Regulator, h_max: int,
     expansion is asymptotic in lam, so h_max is a truncation order, not a
     convergence knob.
     """
+    _check_separation(a)
     _check_series_order(h_max)
     table = bernoulli_numbers(h_max)
     lam = reg.lam
@@ -404,6 +415,7 @@ def asymptotic_parts(a: float, units: UnitSystem = NATURAL) -> AsymptoticParts:
     divergence as a regularization artifact rather than a force.  The h = 4
     term gives finite_part = + hbar c pi^2 / (240 a^4).
     """
+    _check_separation(a)
     table = bernoulli_numbers(4)
     div = float(_series_coefficient(0, table)) * units.hbar_c / math.pi**2
     fin = (float(_series_coefficient(4, table)) * units.hbar_c
@@ -413,6 +425,7 @@ def asymptotic_parts(a: float, units: UnitSystem = NATURAL) -> AsymptoticParts:
 
 def casimir_closed_form(a: float, units: UnitSystem = NATURAL) -> float:
     """Magnitude pi^2 hbar c / (240 a^4) of the attractive Casimir pressure."""
+    _check_separation(a)
     return math.pi**2 * units.hbar_c / (240.0 * a**4)
 
 
@@ -423,6 +436,7 @@ def default_lambda_grid(a: float) -> list[float]:
     Rounding in r a / pi can leave lambda pi / a one ulp above the window's
     top; such a point steps down to the nearest double inside it.
     """
+    _check_separation(a)
     hi = _EXTRACT_RATIO_WINDOW[1]
     grid = []
     for ratio in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5):
@@ -447,6 +461,7 @@ def extract_finite_part(a: float,
     Raises IllConditionedFitError for grids (clustered points, say) on
     which the basis functions become collinear.
     """
+    _check_separation(a)
     lams = sorted({reg.lam if isinstance(reg, Regulator) else float(reg)
                    for reg in lambda_grid})
     if len(lams) < len(BASIS_EXPONENTS):

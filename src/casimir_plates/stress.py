@@ -27,8 +27,8 @@ from .modes import (
     ModeAmplitudes,
     ModeIndex,
     WaveVector,
-    electric_mode_at,
-    magnetic_mode_at,
+    electric_mode_on_grid,
+    magnetic_mode_on_grid,
     mean_square_B_boundary,
     mean_square_E,
     mode_amplitudes,
@@ -126,11 +126,8 @@ def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     z_plane = 0.0 if plate == "bottom" else geom.a
 
     def plane_zz(xs, ys):
-        x_grid, y_grid = np.broadcast_arrays(xs, ys)
-        pts = np.stack(
-            [x_grid, y_grid, np.full_like(x_grid, z_plane)], axis=-1)
-        e = electric_mode_at(pts, wv, amp)
-        b = magnetic_mode_at(pts, wv, amp, omega)
+        e = electric_mode_on_grid(xs, ys, z_plane, wv, amp)
+        b = magnetic_mode_on_grid(xs, ys, z_plane, wv, amp, omega)
         return stress_tensor(e, b, units).zz
 
     result = mean_over_rectangle(plane_zz, geom.L, geom.L, tol)
@@ -152,8 +149,3 @@ def sigma_zz_from_boundary_averages(wv: WaveVector, amp: ModeAmplitudes,
     mean_b2 = mean_square_B_boundary(wv, amp, units)
     return 0.5 * (units.epsilon_0 * mean_ez2 - mean_b2 / units.mu_0)
 
-
-def _sigma_zz_expected(wv: WaveVector, amp: ModeAmplitudes,
-                       units: UnitSystem) -> float:
-    """Reduced-average formula with the cancellation done: -eps0 A^2 k_z^2/(8 k^2)."""
-    return -units.epsilon_0 * amp.norm_squared * wv.k_z**2 / (8.0 * wv.k**2)

@@ -26,10 +26,6 @@ class UnitSystem:
     c: float
 
     @property
-    def hbar(self) -> float:
-        return self.hbar_c / self.c
-
-    @property
     def mu_0(self) -> float:
         # fixed by eps0 mu0 = 1/c^2
         return 1.0 / (self.epsilon_0 * self.c**2)

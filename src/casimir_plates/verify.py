@@ -12,6 +12,7 @@ fail; nothing else reads it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,10 +49,8 @@ def _result(name: str, residual: float, bound: float, detail: str = "") -> Check
 
 
 def _mode_grid(n_max: int):
-    for nx in range(1, n_max + 1):
-        for ny in range(1, n_max + 1):
-            for nz in range(1, n_max + 1):
-                yield modes.ModeIndex(nx, ny, nz)
+    for n in itertools.product(range(1, n_max + 1), repeat=3):
+        yield modes.ModeIndex(*n)
 
 
 def check_boundary_zeros(units: UnitSystem = NATURAL) -> CheckResult:
@@ -62,17 +61,15 @@ def check_boundary_zeros(units: UnitSystem = NATURAL) -> CheckResult:
             wv = modes.wave_vector(mode, geom)
             amp = modes.mode_amplitudes(mode, geom, units, 0.4)
             omega = units.omega(wv.k)
-            xs = np.array([0.137, 0.5, 0.891]) * geom.L
-            ys = np.array([0.222, 0.77, 0.993]) * geom.L
-            for z in (0.0, geom.a):
-                pts = np.stack([*np.meshgrid(xs, ys, indexing="ij"),
-                                np.full((3, 3), z)], axis=-1)
-                e = modes.electric_mode_at(pts, wv, amp)
-                b = modes.magnetic_mode_at(pts, wv, amp, omega)
-                worst = max(worst,
-                            float(np.max(np.abs(e[..., 0]))),
-                            float(np.max(np.abs(e[..., 1]))),
-                            float(np.max(np.abs(b[..., 2]))))
+            xs = np.array([0.137, 0.5, 0.891])[:, None, None] * geom.L
+            ys = np.array([0.222, 0.77, 0.993])[:, None] * geom.L
+            zs = np.array([0.0, geom.a])  # both plates
+            e = modes.electric_mode_on_grid(xs, ys, zs, wv, amp)
+            b = modes.magnetic_mode_on_grid(xs, ys, zs, wv, amp, omega)
+            worst = max(worst,
+                        float(np.max(np.abs(e[..., 0]))),
+                        float(np.max(np.abs(e[..., 1]))),
+                        float(np.max(np.abs(b[..., 2]))))
     return _result("boundary_zeros_exact", worst, 0.0,
                    "tangential E and B_z on both plates")
 
@@ -140,27 +137,20 @@ def check_bulk_mean_square(units: UnitSystem = NATURAL, scale: float = 1.0) -> C
             wv = modes.wave_vector(mode, geom)
             amp = modes.mode_amplitudes(mode, geom, units, 0.6)
             expected = modes.mean_square_E(wv, amp, "bulk")
-
-            def e_squared(xs, ys, zs):
-                x, y, z = np.broadcast_arrays(xs, ys, zs)
-                pts = np.stack([x, y, z], axis=-1)
-                e = modes.electric_mode_at(pts, wv, amp)
-                return np.sum(e * e, axis=-1)
-
-            got = mean_over_box(e_squared, geom.L, geom.L, geom.a, 1e-11).value
+            got = mean_over_box(
+                lambda *xyz: np.sum(
+                    modes.electric_mode_on_grid(*xyz, wv, amp)**2, axis=-1),
+                geom.L, geom.L, geom.a, 1e-11).value
             worst = max(worst, abs(got - expected) / expected)
     return _result("bulk_mean_square_E", worst, 1e-9 * scale,
                    "3-D quadrature vs A^2/8, modes n <= 3")
 
 
-def _plate_mean(f: Callable[[np.ndarray], np.ndarray], geom, z: float,
-                tol: float = 1e-12) -> float:
-    def on_plane(xs, ys):
-        x, y = np.broadcast_arrays(xs, ys)
-        pts = np.stack([x, y, np.full_like(x, z)], axis=-1)
-        return f(pts)
-
-    return mean_over_rectangle(on_plane, geom.L, geom.L, tol).value
+def _plate_mean_square(field: Callable[..., np.ndarray], geom, z: float) -> float:
+    """Mean of |field(x, y, z)|^2 over the plane at height z, to 1e-12."""
+    return mean_over_rectangle(
+        lambda xs, ys: np.sum(field(xs, ys, z)**2, axis=-1),
+        geom.L, geom.L, 1e-12).value
 
 
 def check_boundary_mean_squares(units: UnitSystem = NATURAL,
@@ -174,13 +164,11 @@ def check_boundary_mean_squares(units: UnitSystem = NATURAL,
             amp = modes.mode_amplitudes(mode, geom, units, 0.8)
             omega = units.omega(wv.k)
 
-            got_e = _plate_mean(
-                lambda pts: np.sum(modes.electric_mode_at(pts, wv, amp)**2, axis=-1),
-                geom, 0.0)
+            got_e = _plate_mean_square(
+                lambda *xyz: modes.electric_mode_on_grid(*xyz, wv, amp), geom, 0.0)
             want_e = modes.mean_square_E(wv, amp, "boundary")
-            got_b = _plate_mean(
-                lambda pts: np.sum(modes.magnetic_mode_at(pts, wv, amp, omega)**2,
-                                   axis=-1),
+            got_b = _plate_mean_square(
+                lambda *xyz: modes.magnetic_mode_on_grid(*xyz, wv, amp, omega),
                 geom, 0.0)
             want_b = modes.mean_square_B_boundary(wv, amp, units)
             norm = modes.amplitude_norm_squared(mode, geom, units)
@@ -334,8 +322,7 @@ def check_divergent_coefficient_stability(units: UnitSystem = NATURAL) -> CheckR
     """Fitted pole coefficients do not move when the separation does."""
     fits = []
     for a in (0.5, 1.0, 2.0):
-        grid = [regsum.Regulator(r * a / math.pi)
-                for r in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5)]
+        grid = regsum.default_lambda_grid(a)
         fits.append(regsum.extract_finite_part(a, grid, units).divergent_coefficient)
     ref = regsum.asymptotic_parts(1.0, units).divergent_coefficient
     spread = (max(fits) - min(fits)) / abs(ref)
@@ -348,8 +335,7 @@ def check_finite_part_scaling(units: UnitSystem = NATURAL) -> CheckResult:
     seps = np.array([0.5, 0.75, 1.0, 1.5, 2.0])
     fitted = []
     for a in seps:
-        grid = [regsum.Regulator(r * a / math.pi)
-                for r in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5)]
+        grid = regsum.default_lambda_grid(a)
         fitted.append(regsum.extract_finite_part(a, grid, units).finite_part)
     slope = np.polyfit(np.log(seps), np.log(np.abs(fitted)), 1)[0]
     return _result("finite_part_scaling", abs(slope + 4.0), 1e-3,

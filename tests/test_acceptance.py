@@ -130,9 +130,11 @@ def test_stress_oracle_agreement():
           f"over {count} modes, {elapsed:.2f}s")
 
 
-def test_verify_command_green(capsys):
+@pytest.mark.parametrize("units", ["natural", "si"])
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_verify_command_green(capsys, profile, units):
     """The verify command exits 0 with every field invariant reported PASS."""
-    code = main(["verify"])
+    code = main(["verify", "--profile", profile, "--units", units])
     out = capsys.readouterr().out
 
     lines = [line for line in out.splitlines()
@@ -145,7 +147,8 @@ def test_verify_command_green(capsys):
                  "fd_divergence_zero", "boundary_zeros_exact",
                  "sigma_oracle_agreement"):
         assert any(name in line for line in lines), name
-    print(f"PASS: verify command: exit 0, {len(lines)} checks green")
+    print(f"PASS: verify command ({profile}, {units}): exit 0, "
+          f"{len(lines)} checks green")
 
 
 def test_si_pressure_at_one_micrometre():

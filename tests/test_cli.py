@@ -161,6 +161,20 @@ class TestExtract:
         assert "window" in err
 
 
+class TestInvalidSeparation:
+    @pytest.mark.parametrize("a", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("argv", [("force", "--lambda", "0.1", "--a={}"),
+                                      ("sweep", "--a=1,{}"),
+                                      ("extract", "--a={}")])
+    def test_rejected_with_exit_2(self, capsys, argv, a):
+        code, out, err = run_cli(capsys, *(arg.format(a) for arg in argv))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "nan" not in out.lower()
+        assert err.splitlines() == [
+            f"casimir: a must be positive and finite, got {float(a)!r}"]
+
+
 class TestModes:
     def test_table_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n-max", "2", "--a", "0.7",

@@ -15,7 +15,9 @@ from casimir_plates.modes import (
     default_fd_step,
     divergence_residual,
     electric_mode_at,
+    electric_mode_on_grid,
     magnetic_mode_at,
+    magnetic_mode_on_grid,
     mean_square_B_boundary,
     mean_square_E,
     mode_amplitudes,
@@ -135,6 +137,30 @@ class TestFieldEvaluation:
         assert e[0] == 0.0
         assert e[1] == 0.0
         assert b[2] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=mode_indices, geom=geometries, angle=angles,
+           xf=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           yf=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           zf=st.lists(st.floats(0.0, 1.0), max_size=3))
+    def test_grid_matches_points_bit_for_bit(self, mode, geom, angle,
+                                             xf, yf, zf):
+        wv = wave_vector(mode, geom)
+        amp = mode_amplitudes(mode, geom, NATURAL, angle)
+        omega = NATURAL.omega(wv.k)
+        # the last two z values are the plates z = 0 and z = a
+        x = np.array(xf) * geom.L
+        y = np.array(yf) * geom.L
+        z = np.array(zf + [0.0, 1.0]) * geom.a
+        points = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
+        axes = (x[:, None, None], y[None, :, None], z[None, None, :])
+        e = electric_mode_on_grid(*axes, wv, amp)
+        b = magnetic_mode_on_grid(*axes, wv, amp, omega)
+        assert e.shape == b.shape == points.shape
+        assert np.array_equal(e, electric_mode_at(points, wv, amp))
+        assert np.array_equal(b, magnetic_mode_at(points, wv, amp, omega))
+        assert np.all(e[:, :, -2:, :2] == 0.0)
+        assert np.all(b[:, :, -2:, 2] == 0.0)
 
 
 class TestAmplitudes:

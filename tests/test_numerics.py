@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_plates import numerics, verify
 from casimir_plates.numerics import (
     IllConditionedFitError,
     QuadratureError,
@@ -248,3 +250,27 @@ class TestGridMeans:
             lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y) ** 2,
             1.0, 1.0, 1e-12)
         assert res.value == pytest.approx(0.25, rel=1e-11)
+
+    def test_levels_stop_at_point_budget(self):
+        # a kink at x = 0.3 keeps every level apart, so all levels run:
+        # 8..256 nodes per axis on a rectangle, 8..128 on a box
+        kink = lambda x, *rest: np.abs(x - 0.3) + 0.0 * sum(rest)
+        with pytest.raises(QuadratureError) as rect:
+            mean_over_rectangle(kink, 1.0, 1.0, 1e-15)
+        assert rect.value.evaluations == sum(n * n for n in (8, 16, 32, 64, 128, 256))
+        with pytest.raises(QuadratureError) as box:
+            mean_over_box(kink, 1.0, 1.0, 1.0, 1e-15)
+        assert box.value.evaluations == sum(n**3 for n in (8, 16, 32, 64, 128))
+
+    def test_verify_computes_nodes_once_per_order(self, monkeypatch):
+        calls = Counter()
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls[n] += 1
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        numerics._gl_reference.cache_clear()
+        verify.run_all("default")
+        assert calls and max(calls.values()) == 1

@@ -275,3 +275,24 @@ class TestRoutesAndDecomposition:
         dec = decompose(a, reg)
         allowance = {t.h: t.value for t in series_terms(a, reg, 6)}[6]
         assert abs(dec.remainder) <= 2.0 * abs(allowance)
+
+
+@pytest.mark.parametrize("a", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda a: per_n_term(a, Regulator(0.1), 1),
+    lambda a: force_sum_numeric(a, Regulator(0.1)),
+    lambda a: force_per_n_sum(a, Regulator(0.1)),
+    lambda a: force_closed_form(a, Regulator(0.1)),
+    lambda a: series_terms(a, Regulator(0.1), 6),
+    lambda a: series_value(a, Regulator(0.1)),
+    asymptotic_parts,
+    casimir_closed_form,
+    default_lambda_grid,
+    lambda a: extract_finite_part(a, [0.01, 0.02, 0.04, 0.08]),
+    lambda a: decompose(a, Regulator(0.1), route="numeric_sum"),
+    lambda a: decompose(a, Regulator(0.1), route="series"),
+])
+def test_every_entry_rejects_bad_separation(call, a):
+    with pytest.raises(ValueError, match="a must be positive and finite") as exc:
+        call(a)
+    assert exc.type is ValueError

@@ -41,14 +41,13 @@ def main() -> None:
     ratios = np.geomspace(args.ratio_min, args.ratio_max, args.points)
     for ratio in ratios:
         lam = ratio * a / math.pi
-        total = regsum.force_closed_form(a, regsum.Regulator(lam), NATURAL)
-        subtracted = total - pole / lam**4
+        force = regsum.decompose(a, regsum.Regulator(lam), NATURAL)
+        subtracted = force.total - force.divergent_part
         distance = abs(subtracted - finite) / finite
-        print(f"{lam:14.6e} {total:18.10e} {subtracted:18.10e} {distance:20.3e}")
+        print(f"{lam:14.6e} {force.total:18.10e} {subtracted:18.10e} "
+              f"{distance:20.3e}")
 
-    fit = regsum.extract_finite_part(
-        a, [r * a / math.pi for r in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5)],
-        NATURAL)
+    fit = regsum.extract_finite_part(a, regsum.default_lambda_grid(a), NATURAL)
     print(f"# least-squares fit over the default grid:")
     print(f"#   finite part  {fit.finite_part:.12g}  "
           f"(rel err {abs(fit.finite_part - finite) / finite:.3e})")

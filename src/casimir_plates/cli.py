@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -85,19 +86,27 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _finite(value: float) -> float:
+    """Pass a value to the output, which never carries a NaN or infinity."""
+    if not math.isfinite(value):
+        raise ValueError(f"refusing to print the non-finite value {value!r}")
+    return value
+
+
 def _fmt(value: float) -> str:
     """Machine formatting, exact double round-trip."""
-    return "%.17g" % value
+    return "%.17g" % _finite(value)
 
 
 def _hfmt(value: float) -> str:
     """Human formatting, 6 significant digits."""
-    return "%.6g" % value
+    return "%.6g" % _finite(value)
 
 
 def _print_csv(columns: Sequence[str], rows: list[dict], out) -> None:
-    print(f"# schema_version={SCHEMA_VERSION}", file=out)
-    print(",".join(columns), file=out)
+    # formatted in full before the first line goes out, so a refused value
+    # leaves no partial table behind
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
     for row in rows:
         cells = []
         for col in columns:
@@ -108,11 +117,13 @@ def _print_csv(columns: Sequence[str], rows: list[dict], out) -> None:
                 cells.append(_fmt(value))
             else:
                 cells.append(str(value))
-        print(",".join(cells), file=out)
+        lines.append(",".join(cells))
+    print("\n".join(lines), file=out)
 
 
 def _print_json(document: dict, out) -> None:
-    print(json.dumps(document, indent=2, sort_keys=True), file=out)
+    print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False),
+          file=out)
 
 
 def cmd_verify(args, cfg) -> int:
@@ -147,20 +158,10 @@ def cmd_verify(args, cfg) -> int:
 
 
 def _force_row(a: float, lam: float, route: str, units, tol: float) -> dict:
-    value, estimate = regsum.evaluate_route(a, regsum.Regulator(lam), units,
-                                            route, tol=tol)
-    parts = regsum.asymptotic_parts(a, units)
-    remainder = value - parts.divergent_coefficient / lam**4 - parts.finite_part
-    return {
-        "a": a,
-        "lambda": lam,
-        "route": route,
-        "force_per_area": value,
-        "divergent_part": parts.divergent_coefficient / lam**4,
-        "finite_part": parts.finite_part,
-        "remainder": remainder,
-        "error_estimate": estimate,
-    }
+    force = regsum.decompose(a, regsum.Regulator(lam), units, route, tol=tol)
+    return dict(zip(SWEEP_COLUMNS, (
+        a, force.lam, force.route, force.total, force.divergent_part,
+        force.finite_part, force.remainder, force.error_estimate)))
 
 
 def cmd_force(args, cfg) -> int:
@@ -185,10 +186,6 @@ def cmd_sweep(args, cfg) -> int:
     a_values = _float_list(_setting(args.a, "sweep_a", cfg))
     lam_values = _float_list(_setting(args.lam, "sweep_lambda", cfg))
     routes = _str_list(_setting(args.routes, "sweep_routes", cfg))
-    for route in routes:
-        if route not in regsum.ROUTES:
-            raise ValueError(f"unknown route {route!r}; expected one of "
-                             f"{regsum.ROUTES}")
 
     rows = []
     failures = 0
@@ -345,7 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IllConditionedFitError as exc:
         print(f"casimir: fit failed: {exc}", file=sys.stderr)
         return 1
-    except (NumericsError, regsum.PrecisionLossError) as exc:
+    except (NumericsError, regsum.PrecisionLossError, ArithmeticError) as exc:
         print(f"casimir: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

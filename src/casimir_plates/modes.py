@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import central_difference
+from .numerics import central_difference, check_positive_finite
 from .units import UnitSystem
 
 __all__ = [
@@ -94,26 +94,24 @@ class CavityGeometry:
     L: float
 
     def __post_init__(self):
-        for label, v in (("a", self.a), ("L", self.L)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{label} must be positive and finite, got {v!r}")
+        check_positive_finite("a", self.a)
+        check_positive_finite("L", self.L)
 
 
 @dataclass(frozen=True)
 class WaveVector:
-    """Cartesian wave vector, optionally carrying its mode and geometry.
+    """Cartesian wave vector of a cavity mode, carrying the mode and geometry.
 
-    When ``mode`` and ``geom`` are present, phase arguments are formed from
-    the exact rationals n * (coordinate / length), which is what makes the
-    boundary zeros of the field evaluators exact.  A bare WaveVector still
-    works everywhere, just without that guarantee.
+    Phase arguments are formed from the exact rationals n * (coordinate /
+    length), which is what makes the boundary zeros of the field evaluators
+    exact.
     """
 
     k_x: float
     k_y: float
     k_z: float
-    mode: ModeIndex | None = None
-    geom: CavityGeometry | None = None
+    mode: ModeIndex
+    geom: CavityGeometry
 
     @property
     def kappa(self) -> float:
@@ -128,11 +126,9 @@ class WaveVector:
     def phases(self, x, y, z):
         """Return (t_x, t_y, t_z) such that k_i * coord = pi * t_i."""
         x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
-        if self.mode is not None and self.geom is not None:
-            return (self.mode.n_x * (x / self.geom.L),
-                    self.mode.n_y * (y / self.geom.L),
-                    self.mode.n_z * (z / self.geom.a))
-        return self.k_x * x / np.pi, self.k_y * y / np.pi, self.k_z * z / np.pi
+        return (self.mode.n_x * (x / self.geom.L),
+                self.mode.n_y * (y / self.geom.L),
+                self.mode.n_z * (z / self.geom.a))
 
 
 @dataclass(frozen=True)
@@ -298,9 +294,11 @@ def mean_square_E(wv: WaveVector, amp: ModeAmplitudes, region: str) -> float:
     raise ValueError(f"region must be 'bulk' or 'boundary', got {region!r}")
 
 
+_TRANSVERSALITY_TOL = 1e-9
+
+
 def mean_square_B_boundary(wv: WaveVector, amp: ModeAmplitudes,
-                           units: UnitSystem, *,
-                           transversality_tol: float = 1e-9) -> float:
+                           units: UnitSystem) -> float:
     """Plate-averaged |B|^2, reduced to amplitudes via transversality.
 
     On a plate the two tangential components contribute
@@ -309,12 +307,12 @@ def mean_square_B_boundary(wv: WaveVector, amp: ModeAmplitudes,
 
     a closed form that uses A . k = 0 to eliminate the cross terms.  Since
     that assumption is load-bearing, amplitudes violating it beyond
-    ``transversality_tol`` are rejected with TransversalityError.
+    _TRANSVERSALITY_TOL are rejected with TransversalityError.
     """
     residual = transversality_residual(amp, wv)
-    if residual > transversality_tol:
+    if residual > _TRANSVERSALITY_TOL:
         raise TransversalityError(
             f"relative transversality residual {residual:.3e} exceeds "
-            f"{transversality_tol:.1e}")
+            f"{_TRANSVERSALITY_TOL:.1e}")
     k = wv.k
     return (amp.a_z**2 + amp.norm_squared * wv.k_z**2 / k**2) / (4.0 * units.c**2)

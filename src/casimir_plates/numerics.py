@@ -21,6 +21,7 @@ __all__ = [
     "IllConditionedFitError",
     "QuadratureResult",
     "FitResult",
+    "check_positive_finite",
     "integrate_semi_infinite",
     "sum_until_tail_bound",
     "fit_linear_basis",
@@ -70,6 +71,12 @@ class IllConditionedFitError(NumericsError):
     def __init__(self, message: str, condition_estimate: float):
         super().__init__(message)
         self.condition_estimate = condition_estimate
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Reject a length, cutoff or tolerance that is not positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,7 @@ def integrate_semi_infinite(
     estimates, if a row does not converge within ``limit`` levels or its
     end terms exceed the tolerance.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_positive_finite("tol", tol)
     if limit < 1:
         raise ValueError("limit must be at least 1")
     s = np.asarray(scale, dtype=float)
@@ -219,8 +225,7 @@ def sum_until_tail_bound(
     Raises TailBoundError (carrying the partial sum and last bound) if
     ``max_terms`` terms never satisfy the criterion.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_positive_finite("tol", tol)
     total = 0.0
     bound = math.inf
     for n in range(1, max_terms + 1):
@@ -233,12 +238,11 @@ def sum_until_tail_bound(
         partial_sum=total, bound=bound)
 
 
-def fit_linear_basis(
-    samples: Iterable[tuple[float, float]],
-    basis_exponents: Sequence[float],
-    *,
-    cond_max: float = 1e6,
-) -> FitResult:
+_COND_MAX = 1e6
+
+
+def fit_linear_basis(samples: Iterable[tuple[float, float]],
+                     basis_exponents: Sequence[float]) -> FitResult:
     """Least-squares fit of y ~ sum_i c_i * x**e_i over (x, y) samples.
 
     The design matrix is column-equilibrated (each column scaled to unit
@@ -249,7 +253,7 @@ def fit_linear_basis(
     scale before returning.
 
     Raises IllConditionedFitError when the equilibrated condition number
-    exceeds ``cond_max`` or the matrix is rank deficient.
+    exceeds _COND_MAX (1e6) or the matrix is rank deficient.
     """
     pts = np.asarray(list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -274,9 +278,9 @@ def fit_linear_basis(
         raise IllConditionedFitError(
             "rank-deficient design matrix", condition_estimate=math.inf)
     cond = float(singular[0] / singular[-1])
-    if cond > cond_max:
+    if cond > _COND_MAX:
         raise IllConditionedFitError(
-            f"condition estimate {cond:.3e} exceeds limit {cond_max:.3e}",
+            f"condition estimate {cond:.3e} exceeds limit {_COND_MAX:.3e}",
             condition_estimate=cond)
     coefficients = coeffs_scaled / scale
     residual_norm = float(np.linalg.norm(y - design @ coefficients))

@@ -32,11 +32,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .numerics import (
+    check_positive_finite,
     fit_linear_basis,
     integrate_semi_infinite,
     sum_until_tail_bound,
@@ -64,7 +65,6 @@ __all__ = [
     "default_lambda_grid",
     "extract_finite_part",
     "casimir_closed_form",
-    "evaluate_route",
     "decompose",
 ]
 
@@ -87,13 +87,7 @@ _EXTRACT_RATIO_WINDOW = (0.01, 0.5)
 
 
 class PrecisionLossError(ValueError):
-    """Closed-form evaluation requested in a catastrophic-cancellation regime."""
-
-
-def _check_separation(a: float) -> None:
-    """Reject a separation as CavityGeometry does; every entry taking a calls it."""
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"a must be positive and finite, got {a!r}")
+    """A value lost to cancellation, or a force record out of double range."""
 
 
 @dataclass(frozen=True)
@@ -103,24 +97,32 @@ class Regulator:
     lam: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
+        check_positive_finite("lam", self.lam)
 
 
 @dataclass(frozen=True)
 class RegularizedForce:
-    """A regularized force value split against its small-lambda asymptotics.
+    """A route's force value, its error estimate, and its small-lambda split.
 
-    total = divergent_coefficient * lam**-4 + finite_part + remainder,
-    with remainder -> 0 as lam -> 0 (it is O(lam^2); the lam^1 series term
-    carries a vanishing Bernoulli number).
+    total = divergent_part + finite_part + remainder, where divergent_part
+    = divergent_coefficient * lam**-4 and remainder -> 0 as lam -> 0 (it is
+    O(lam^2); the lam^1 series term carries a vanishing Bernoulli number).
     """
 
+    route: str
     lam: float
     total: float
+    error_estimate: float
     divergent_coefficient: float
     finite_part: float
-    remainder: float
+
+    @property
+    def divergent_part(self) -> float:
+        return self.divergent_coefficient / self.lam**4
+
+    @property
+    def remainder(self) -> float:
+        return self.total - self.divergent_part - self.finite_part
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def per_n_term(a: float, reg: Regulator, n: int,
     exp(-lambda n pi / a), so the term is
     -(hbar c / (2 pi a)) (n pi / a)^2 (1/lambda) exp(-lambda n pi / a).
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = reg.lam
@@ -293,7 +295,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     Raises TailBoundError if n_max terms never meet the bound (lambda too
     small for the given n_max) and QuadratureError if an integral fails.
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     lam = reg.lam
     pref = _prefactor(a, units)
     terms: list[float] = []
@@ -313,7 +315,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
 def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
                     *, tol: float = 1e-12, n_max: int = 200_000) -> float:
     """Regularized force per unit area by summing the exact per-n terms."""
-    _check_separation(a)
+    check_positive_finite("a", a)
     lam = reg.lam
 
     def term(n: int) -> float:
@@ -337,7 +339,7 @@ def force_closed_form(a: float, reg: Regulator,
     the (1-q)^3 denominator has lost half the mantissa; such calls raise
     PrecisionLossError rather than return garbage.
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     lam = reg.lam
     x = lam * math.pi / a
     if x < _MIN_CUTOFF_RATIO:
@@ -376,7 +378,7 @@ def series_terms(a: float, reg: Regulator, h_max: int,
     expansion is asymptotic in lam, so h_max is a truncation order, not a
     convergence knob.
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     _check_series_order(h_max)
     table = bernoulli_numbers(h_max)
     lam = reg.lam
@@ -415,7 +417,7 @@ def asymptotic_parts(a: float, units: UnitSystem = NATURAL) -> AsymptoticParts:
     divergence as a regularization artifact rather than a force.  The h = 4
     term gives finite_part = + hbar c pi^2 / (240 a^4).
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     table = bernoulli_numbers(4)
     div = float(_series_coefficient(0, table)) * units.hbar_c / math.pi**2
     fin = (float(_series_coefficient(4, table)) * units.hbar_c
@@ -425,7 +427,7 @@ def asymptotic_parts(a: float, units: UnitSystem = NATURAL) -> AsymptoticParts:
 
 def casimir_closed_form(a: float, units: UnitSystem = NATURAL) -> float:
     """Magnitude pi^2 hbar c / (240 a^4) of the attractive Casimir pressure."""
-    _check_separation(a)
+    check_positive_finite("a", a)
     return math.pi**2 * units.hbar_c / (240.0 * a**4)
 
 
@@ -436,7 +438,7 @@ def default_lambda_grid(a: float) -> list[float]:
     Rounding in r a / pi can leave lambda pi / a one ulp above the window's
     top; such a point steps down to the nearest double inside it.
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     hi = _EXTRACT_RATIO_WINDOW[1]
     grid = []
     for ratio in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5):
@@ -461,7 +463,7 @@ def extract_finite_part(a: float,
     Raises IllConditionedFitError for grids (clustered points, say) on
     which the basis functions become collinear.
     """
-    _check_separation(a)
+    check_positive_finite("a", a)
     lams = sorted({reg.lam if isinstance(reg, Regulator) else float(reg)
                    for reg in lambda_grid})
     if len(lams) < len(BASIS_EXPONENTS):
@@ -489,37 +491,35 @@ def extract_finite_part(a: float,
     )
 
 
-def evaluate_route(a: float, reg: Regulator, units: UnitSystem, route: str,
-                   *, tol: float = 1e-10) -> tuple[float, float]:
-    """Evaluate F(a, lambda) by the named route; returns (value, error estimate).
-
-    Routes: 'closed_form' (error at rounding level), 'numeric_sum' (error
-    from the summation tolerance), 'series' (error from the first omitted
-    term).
-    """
-    if route == "closed_form":
-        value = force_closed_form(a, reg, units)
-        return value, 1e-14 * abs(value)
-    if route == "numeric_sum":
-        value = force_sum_numeric(a, reg, units, tol=tol)
-        return value, tol * abs(value)
-    if route == "series":
-        return series_value(a, reg, units)
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-
-
 def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,
               route: str = "closed_form", *,
               tol: float = 1e-10) -> RegularizedForce:
-    """Split a route's force value against the small-lambda asymptotics."""
-    total, _ = evaluate_route(a, reg, units, route, tol=tol)
-    parts = asymptotic_parts(a, units)
-    remainder = (total - parts.divergent_coefficient / reg.lam**4
-                 - parts.finite_part)
-    return RegularizedForce(
-        lam=reg.lam,
-        total=total,
-        divergent_coefficient=parts.divergent_coefficient,
-        finite_part=parts.finite_part,
-        remainder=remainder,
-    )
+    """Evaluate F(a, lambda) by the named route, with its error and split.
+
+    Routes: 'closed_form' (error at rounding level), 'numeric_sum' (error
+    from the summation tolerance ``tol``), 'series' (error from the first
+    omitted term).  Raises PrecisionLossError, naming the route, a and
+    lambda, when a field of the record would overflow or be non-finite.
+    """
+    try:
+        if route == "closed_form":
+            total = force_closed_form(a, reg, units)
+            estimate = 1e-14 * abs(total)
+        elif route == "numeric_sum":
+            total = force_sum_numeric(a, reg, units, tol=tol)
+            estimate = tol * abs(total)
+        elif route == "series":
+            total, estimate = series_value(a, reg, units)
+        else:
+            raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+        parts = asymptotic_parts(a, units)
+        force = RegularizedForce(route, reg.lam, total, estimate,
+                                 parts.divergent_coefficient, parts.finite_part)
+        # the remainder is non-finite whenever total, divergent_part or
+        # finite_part is
+        if math.isfinite(force.remainder) and math.isfinite(estimate):
+            return force
+    except ArithmeticError:
+        pass
+    raise PrecisionLossError(f"{route} route at a = {a!r}, lambda = {reg.lam!r}: "
+                             "the force or its split leaves the double range")

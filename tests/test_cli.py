@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casimir_plates import regsum
 from casimir_plates.cli import main
@@ -272,3 +276,81 @@ def test_cli_import_leaves_scipy_out():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+#: Inputs whose results leave the double range or whose tol is not a
+#: positive finite number.  All but the last once died with a traceback or
+#: printed a non-finite number with exit 0; tol nan ran the quadrature to
+#: its level cap before failing.
+OUT_OF_RANGE_ARGV = [
+    ["force", "--a", "1", "--lambda", "1e80"],
+    ["sweep", "--a", "1", "--lambda", "0.1,1e80"],
+    ["force", "--a", "1e-300", "--lambda", "1"],
+    ["force", "--a", "1e-90", "--lambda", "1"],
+    ["force", "--a", "1e-90", "--lambda", "1e-80", "--route", "series"],
+    ["modes", "--a", "1e-200"],
+    ["force", "--a", "1e-80", "--lambda", "1", "--json"],
+    ["modes", "--a", "1e-100", "--L", "1e-100"],
+    ["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
+     "--tol", "inf", "--json"],
+    ["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
+     "--tol", "nan"],
+]
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _run_quietly(argv):
+    """main(argv) with its output captured; argparse exits become codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV, ids=" ".join)
+def test_out_of_range_exits_2_with_one_line(argv):
+    code, out, err = _run_quietly(argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert not _NON_FINITE.search(out)
+
+
+def _flag(name, value):
+    return f"--{name}={value!r}"
+
+
+_floats = st.floats()
+_argvs = st.one_of(
+    st.builds(lambda a, lam, route, tol: ["force", _flag("a", a),
+                                          _flag("lambda", lam), "--route",
+                                          route, _flag("tol", tol), "--json"],
+              _floats, _floats, st.sampled_from(regsum.ROUTES), _floats),
+    st.builds(lambda a, lam, route, tol: ["sweep", _flag("a", a),
+                                          _flag("lambda", lam), "--routes",
+                                          route, _flag("tol", tol)],
+              _floats, _floats, st.sampled_from(regsum.ROUTES), _floats),
+    st.builds(lambda a: ["extract", _flag("a", a)], _floats),
+    st.builds(lambda a, big_l, n_max: ["modes", _flag("a", a),
+                                       _flag("L", big_l), f"--n-max={n_max}"],
+              _floats, _floats, st.integers(0, 3)),
+)
+
+
+def _pin_examples(test):
+    for argv in OUT_OF_RANGE_ARGV:
+        test = example(argv=argv)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@_pin_examples
+@given(argv=_argvs)
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    code, out, _ = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert not _NON_FINITE.search(out)

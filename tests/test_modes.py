@@ -10,7 +10,6 @@ from casimir_plates.modes import (
     ModeAmplitudes,
     ModeIndex,
     TransversalityError,
-    WaveVector,
     amplitude_norm_squared,
     default_fd_step,
     divergence_residual,
@@ -197,12 +196,12 @@ class TestAmplitudes:
         assert transversality_residual(amp, wv) <= 1e-12
 
     def test_residual_of_longitudinal_vector(self):
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         got = transversality_residual(ModeAmplitudes(1.0, 0.0, 0.0), wv)
         assert got == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
 
     def test_residual_of_orthogonal_vector(self):
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         assert transversality_residual(ModeAmplitudes(1.0, 1.0, -2.0), wv) == 0.0
 
 
@@ -241,23 +240,23 @@ class TestDivergence:
 
 class TestMeanSquares:
     def test_bulk_mean(self):
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         amp = ModeAmplitudes(1.0, 1.0, -2.0)
         assert mean_square_E(wv, amp, "bulk") == pytest.approx(6.0 / 8.0)
 
     def test_boundary_mean(self):
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         amp = ModeAmplitudes(1.0, 1.0, -2.0)
         assert mean_square_E(wv, amp, "boundary") == pytest.approx(1.0)
 
     def test_unknown_region_rejected(self):
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         with pytest.raises(ValueError):
             mean_square_E(wv, ModeAmplitudes(1.0, 1.0, -2.0), "edge")
 
     def test_boundary_b_mean_frozen_value(self):
         # (A_z^2 + A^2 k_z^2 / k^2) / 4 = (4 + 6/3) / 4 in natural units
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         amp = ModeAmplitudes(1.0, 1.0, -2.0)
         got = mean_square_B_boundary(wv, amp, NATURAL)
         assert got == pytest.approx(1.5, rel=1e-15)
@@ -272,7 +271,7 @@ class TestMeanSquares:
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_boundary_b_mean_rejects_longitudinal(self):
-        wv = WaveVector(math.pi, math.pi, math.pi)
+        wv = wave_vector(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0))
         with pytest.raises(TransversalityError):
             mean_square_B_boundary(wv, ModeAmplitudes(1.0, 0.0, 0.0), NATURAL)
 

@@ -69,8 +69,9 @@ class TestIntegrateSemiInfinite:
         assert math.isfinite(info.value.value)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: np.exp(-x), 0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                integrate_semi_infinite(lambda x: np.exp(-x), tol)
 
     @staticmethod
     def _sqrt_kernel_block(betas, tol):
@@ -153,8 +154,9 @@ class TestSumUntilTailBound:
         assert info.value.partial_sum > 0.0
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            sum_until_tail_bound(lambda n: 0.0, lambda n: 0.0, -1.0)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                sum_until_tail_bound(lambda n: 0.0, lambda n: 0.0, tol)
 
     @given(q=st.floats(min_value=0.05, max_value=0.9))
     def test_geometric_series_property(self, q):

@@ -17,7 +17,6 @@ from casimir_plates.regsum import (
     casimir_closed_form,
     decompose,
     default_lambda_grid,
-    evaluate_route,
     extract_finite_part,
     force_closed_form,
     force_per_n_sum,
@@ -253,14 +252,13 @@ class TestExtraction:
 class TestRoutesAndDecomposition:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_route(1.0, Regulator(0.1), NATURAL, "exact")
+            decompose(1.0, Regulator(0.1), NATURAL, "exact")
 
     def test_route_error_estimates_positive(self):
         for route in ("closed_form", "numeric_sum", "series"):
-            value, estimate = evaluate_route(1.0, Regulator(0.1), NATURAL,
-                                             route)
-            assert value < 0.0
-            assert estimate > 0.0
+            dec = decompose(1.0, Regulator(0.1), NATURAL, route)
+            assert dec.total < 0.0
+            assert dec.error_estimate > 0.0
 
     def test_decomposition_identity(self):
         dec = decompose(1.0, Regulator(0.1))
@@ -275,6 +273,19 @@ class TestRoutesAndDecomposition:
         dec = decompose(a, reg)
         allowance = {t.h: t.value for t in series_terms(a, reg, 6)}[6]
         assert abs(dec.remainder) <= 2.0 * abs(allowance)
+
+
+    @pytest.mark.parametrize("a, lam, route", [
+        (1.0, 1e80, "closed_form"),
+        (1e-300, 1.0, "closed_form"),
+        (1e-90, 1.0, "closed_form"),
+        (1e-90, 1e-80, "series"),
+        (1e-80, 1.0, "closed_form"),
+    ])
+    def test_out_of_range_split_is_precision_loss(self, a, lam, route):
+        with pytest.raises(PrecisionLossError) as exc:
+            decompose(a, Regulator(lam), NATURAL, route)
+        assert f"{route} route at a = {a!r}, lambda = {lam!r}" in str(exc.value)
 
 
 @pytest.mark.parametrize("a", [math.nan, 0.0, -1.0, math.inf])

@@ -108,11 +108,31 @@ _DE_ROUNDING = 4.0 * np.finfo(float).eps
 _DE_FLOOR = np.finfo(float).tiny
 
 
+@functools.lru_cache(maxsize=16)
+def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(pi/2 sinh t) and pi/2 cosh t on the new nodes of a level, read-only.
+
+    Level 0 holds t = k h0 on |t| <= _DE_T_MAX; level l >= 1 holds the odd
+    multiples of h0 / 2**l there, the nodes that halving the step adds.
+    """
+    half_width = round(_DE_T_MAX / _DE_H0)
+    if level == 0:
+        t = _DE_H0 * np.arange(-half_width, half_width + 1)
+    else:
+        odd = 2 * half_width << (level - 1)
+        t = _DE_H0 * 0.5**level * np.arange(1 - odd, odd, 2)
+    exp_sinh = np.exp(0.5 * math.pi * np.sinh(t))
+    jacobian = 0.5 * math.pi * np.cosh(t)
+    exp_sinh.flags.writeable = jacobian.flags.writeable = False
+    return exp_sinh, jacobian
+
+
 def integrate_semi_infinite(
-    integrand: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[..., np.ndarray],
     tol: float,
     *,
     scale: float | np.ndarray = 1.0,
+    params: Sequence[np.ndarray] = (),
     limit: int = 8,
 ) -> QuadratureResult:
     """Integrate continuous, decaying functions over [0, infinity).
@@ -130,14 +150,17 @@ def integrate_semi_infinite(
     above tiny / tol and integrals in the subnormal range still converge;
     at most ``limit`` levels are computed.  ``scale`` (s) should sit near where f carries its mass.
 
-    ``integrand`` receives an array of abscissae and returns f elementwise.
-    With a scalar ``scale`` the abscissae have shape (k,) and the result
-    holds floats.  With a column of scales, shape (m, 1), the abscissae
-    have shape (m, k), row i scaled by scale[i], so ``integrand`` can
-    broadcast per-row parameters of shape (m, 1) against them; the m
-    integrals come back as arrays of shape (m,), each row taken from the
-    level at which that row converged.  ``evaluations`` counts integrand
-    values over all rows.
+    ``integrand(x, *params)`` returns f elementwise.  With a scalar
+    ``scale`` the abscissae x have shape (k,) and ``params`` are passed
+    unchanged; the result holds floats.  With a column of scales, shape
+    (m, 1), each entry of ``params`` is a column of per-row parameters of
+    the same shape, and the m integrals come back as arrays of shape (m,).
+    A row stops being evaluated at the level where it converges: later
+    levels pass ``integrand`` abscissae of shape (p, k) for the p rows
+    still pending, each scaled by its own scale, together with those rows
+    of every parameter column, so f must depend on a row only through its
+    abscissae and parameters.  ``evaluations`` counts integrand values
+    over all rows, so a block costs what its rows cost one at a time.
 
     The error estimate of a row is the difference between its last two
     levels, which bounds the error of the finer one while the rule
@@ -150,26 +173,36 @@ def integrate_semi_infinite(
     if limit < 1:
         raise ValueError("limit must be at least 1")
     s = np.asarray(scale, dtype=float)
+    column = s.reshape(-1, 1)
+    rows = np.arange(column.shape[0])
 
-    def transformed(t: np.ndarray) -> np.ndarray:
-        x = s * np.exp(0.5 * math.pi * np.sinh(t))
-        return integrand(x) * (x * (0.5 * math.pi * np.cosh(t)))
+    def transformed(level: int) -> np.ndarray:
+        """g on the nodes of ``level`` for the pending rows, shape (p, k)."""
+        exp_sinh, jacobian = _de_nodes(level)
+        x = column[rows] * exp_sinh
+        if s.ndim == 0:
+            f = integrand(x[0], *params)
+        else:
+            f = integrand(x, *(p[rows] for p in params))
+        weighted = x * jacobian
+        return np.multiply(f, weighted, out=weighted)
 
-    half_width = round(_DE_T_MAX / _DE_H0)
+    def unwrap(values: np.ndarray) -> float | np.ndarray:
+        return float(values[0]) if s.ndim == 0 else values
+
     h = _DE_H0
-    g = transformed(h * np.arange(-half_width, half_width + 1))
+    g = transformed(0)
     evaluations = g.size
-    ends = np.abs(g[..., 0]) + np.abs(g[..., -1])
+    ends = np.abs(g[:, 0]) + np.abs(g[:, -1])
     total = g.sum(axis=-1)
     magnitude = np.abs(g).sum(axis=-1)
     value = h * total
+    estimate = np.full(value.shape, math.inf)
     value_at = np.full(value.shape, math.nan)
-    estimate = estimate_at = np.full(value.shape, math.inf)
-    pending = np.ones(value.shape, dtype=bool)
+    estimate_at = np.full(value.shape, math.inf)
     for level in range(1, limit):
         h *= 0.5
-        odd = 2 * half_width << (level - 1)
-        g = transformed(h * np.arange(1 - odd, odd, 2))
+        g = transformed(level)
         evaluations += g.size
         total = total + g.sum(axis=-1)
         magnitude = magnitude + np.abs(g).sum(axis=-1)
@@ -179,63 +212,93 @@ def integrate_semi_infinite(
         estimate = (change + h * ends + _DE_ROUNDING * h * magnitude
                     + _DE_FLOOR)
         bound = np.maximum(tol * h * magnitude, _DE_FLOOR)
-        done = pending & (change <= bound)
-        value_at = np.where(done, value, value_at)
-        estimate_at = np.where(done, estimate, estimate_at)
+        done = change <= bound
         if np.any(done & (h * ends > bound)):
+            value_at[rows] = value
+            estimate_at[rows] = estimate
             raise QuadratureError(
                 "exp-sinh quadrature: integrand not negligible at the ends "
                 f"of |t| <= {_DE_T_MAX:g}; adjust scale",
-                value=_unwrap(value), error_estimate=_unwrap(estimate),
+                value=unwrap(value_at), error_estimate=unwrap(estimate_at),
                 evaluations=evaluations)
-        pending &= ~done
-        if not pending.any():
-            break
-    if pending.any():
-        raise QuadratureError(
-            f"exp-sinh quadrature did not converge within {limit} levels "
-            f"(tol={tol:g})",
-            value=_unwrap(np.where(pending, value, value_at)),
-            error_estimate=_unwrap(np.where(pending, estimate, estimate_at)),
-            evaluations=evaluations)
-    return QuadratureResult(value=_unwrap(value_at),
-                            error_estimate=_unwrap(estimate_at),
-                            evaluations=evaluations)
+        value_at[rows[done]] = value[done]
+        estimate_at[rows[done]] = estimate[done]
+        pending = ~done
+        rows, ends, total, magnitude, value, estimate = (
+            v[pending] for v in (rows, ends, total, magnitude, value, estimate))
+        if rows.size == 0:
+            return QuadratureResult(value=unwrap(value_at),
+                                    error_estimate=unwrap(estimate_at),
+                                    evaluations=evaluations)
+    value_at[rows] = value
+    estimate_at[rows] = estimate
+    raise QuadratureError(
+        f"exp-sinh quadrature did not converge within {limit} levels "
+        f"(tol={tol:g})",
+        value=unwrap(value_at), error_estimate=unwrap(estimate_at),
+        evaluations=evaluations)
 
 
-def _unwrap(values: np.ndarray) -> float | np.ndarray:
-    """A 0-d result as a float, a row of results unchanged."""
-    return float(values) if values.ndim == 0 else values
+#: sum_until_tail_bound asks for n = 1.._FIRST_BLOCK first, then for blocks
+#: of at most _MAX_BLOCK terms, which bounds the work arrays a terms
+#: callable builds per block (the quadrature's hold rows times nodes).
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 512
 
 
 def sum_until_tail_bound(
-    term: Callable[[int], float],
-    tail_bound: Callable[[int], float],
+    terms: Callable[[np.ndarray], np.ndarray],
+    tail_bound: Callable[[np.ndarray], np.ndarray],
     tol: float,
     *,
     max_terms: int = 200_000,
 ) -> float:
     """Sum term(1) + term(2) + ... until the tail is provably negligible.
 
-    ``tail_bound(n)`` must bound abs(sum of term(m) for m > n); supplying a
-    valid bound is the caller's contract.  Terms are added in increasing n
-    until tail_bound(n) <= tol * abs(partial sum), so the returned value
-    differs from the full sum by at most that amount.
+    ``terms(ns)`` returns term(n) for each n of an integer array of
+    consecutive n, and ``tail_bound(ns)`` bounds abs(sum of term(m) for
+    m > n) for each; a valid bound, and terms that all share one sign, are
+    the caller's contract.  Terms are added in increasing n, left to right
+    into one running float, until tail_bound(n) <= tol * abs(partial sum),
+    so the returned value differs from the full sum by at most that amount.
 
-    Raises TailBoundError (carrying the partial sum and last bound) if
-    ``max_terms`` terms never satisfy the criterion.
+    The terms are asked for in blocks: n = 1..64, then at most 512 at a
+    time, each block ending at the first n whose bound already meets tol
+    times the sum so far.  The partial sums only grow in magnitude, so the
+    sum stops at or before that n, and no term past the block that holds
+    the stopping n is computed.
+
+    Raises FloatingPointError (an ArithmeticError) at the first block that
+    holds a non-finite term, and TailBoundError (carrying the partial sum
+    and last bound) if ``max_terms`` terms never satisfy the criterion.
     """
     check_positive_finite("tol", tol)
     total = 0.0
-    bound = math.inf
-    for n in range(1, max_terms + 1):
-        total += term(n)
-        bound = tail_bound(n)
-        if bound <= tol * abs(total):
-            return total
-    raise TailBoundError(
-        f"tail bound {bound:.3e} still above tol*|sum| after {max_terms} terms",
-        partial_sum=total, bound=bound)
+    ns = np.arange(1, min(_FIRST_BLOCK, max_terms) + 1)
+    values, bounds = terms(ns), tail_bound(ns)
+    while True:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise FloatingPointError(
+                f"term {ns[np.argmin(finite)]} of the sum is not finite")
+        # as in float arithmetic, an overflowing sum or tol * |sum| is inf
+        with np.errstate(over="ignore"):
+            partial = np.cumsum(np.concatenate(([total], values)))[1:]
+            met = np.flatnonzero(bounds <= tol * np.abs(partial))
+        if met.size:
+            return float(partial[met[0]])
+        total = float(partial[-1])
+        if ns[-1] >= max_terms:
+            raise TailBoundError(
+                f"tail bound {bounds[-1]:.3e} still above tol*|sum| after "
+                f"{max_terms} terms",
+                partial_sum=total, bound=float(bounds[-1]))
+        ns = np.arange(ns[-1] + 1, min(ns[-1] + _MAX_BLOCK, max_terms) + 1)
+        bounds = tail_bound(ns)
+        met = np.flatnonzero(bounds <= tol * abs(total))
+        if met.size:
+            ns, bounds = ns[:met[0] + 1], bounds[:met[0] + 1]
+        values = terms(ns)
 
 
 _COND_MAX = 1e6
@@ -267,8 +330,11 @@ def fit_linear_basis(samples: Iterable[tuple[float, float]],
     if np.any(exps < 0) and np.any(x <= 0.0):
         raise ValueError("negative exponents require strictly positive x")
 
-    design = np.power.outer(x, exps)
-    scale = np.linalg.norm(design, axis=0)
+    # x**e overflows for extreme x; the column norm is then not finite,
+    # which the degenerate-column check below rejects
+    with np.errstate(over="ignore"):
+        design = np.power.outer(x, exps)
+        scale = np.linalg.norm(design, axis=0)
     if not np.all(np.isfinite(scale)) or np.any(scale == 0.0):
         raise IllConditionedFitError(
             "degenerate design column", condition_estimate=math.inf)

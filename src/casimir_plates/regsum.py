@@ -230,34 +230,43 @@ def per_n_term(a: float, reg: Regulator, n: int,
     return (_prefactor(a, units) * n * n / lam) * math.exp(-lam * n * math.pi / a)
 
 
-def _geometric_tail(n: int, q: float, one_minus_q: float) -> float:
-    """Exact value of sum_{m>n} m^2 q^m for 0 < q < 1."""
+def _geometric_tail(n: np.ndarray, q: float,
+                    one_minus_q: float) -> np.ndarray:
+    """Exact value of sum_{m>n} m^2 q^m for 0 < q < 1, for each n."""
+    # the scalar part first, so that a (1 - q)^3 that underflows to zero
+    # raises ZeroDivisionError before any array arithmetic
+    constant = q * (1.0 + q) / one_minus_q**3
     return q**n * (n * n * q / one_minus_q
                    + 2.0 * n * q / one_minus_q**2
-                   + q * (1.0 + q) / one_minus_q**3)
+                   + constant)
 
 
 def _tail_bound_factory(a: float, lam: float, units: UnitSystem):
-    """Bound on the absolute tail of either n-sum route past term n.
+    """Bound on the absolute tail of either n-sum route past each term n.
 
     Both routes have |term(m)| = |pref| m^2 (1/lambda) q^m with
     q = exp(-lambda pi / a) (for the numeric route, because R_m <=
     (1/lambda) e^(-lambda m pi/a) bounds the integral), so the geometric
-    tail sum is an honest bound.
+    tail sum is an honest bound.  Like float arithmetic, the bound turns
+    overflow into inf and inf * 0 into nan without a warning; a bound
+    that never meets the tolerance ends in TailBoundError.
     """
     q = math.exp(-lam * math.pi / a)
     one_minus_q = -math.expm1(-lam * math.pi / a)
     scale = abs(_prefactor(a, units)) / lam
-    return lambda n: scale * _geometric_tail(n, q, one_minus_q)
+
+    def bound(ns: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return scale * _geometric_tail(ns, q, one_minus_q)
+
+    return bound
 
 
-#: force_sum_numeric integrates the radial integrals in blocks of
-#: consecutive n.  Each block is as long as all before it together, from
-#: _FIRST_BLOCK up to _MAX_BLOCK, which bounds both the integrals computed
-#: past the term where the tail-bounded sum stops and the size of the
-#: quadrature's work arrays.
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 512
+#: Smallest tol force_sum_numeric accepts.  The radial integrals run at
+#: tol / 10, and below 1e-16 that is less than half an ulp (1.1e-16): two
+#: quadrature levels of R_n then meet it only when they agree bit for bit,
+#: so the route fails, or converges by chance.
+_MIN_NUMERIC_TOL = 1e-15
 
 
 def _radial_integrals(a: float, lam: float, ns: np.ndarray,
@@ -270,15 +279,19 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     large and like exp(-beta sqrt(z)) far out when beta is small, so the
     exp-sinh scale of each row is the sum of the two decay lengths.
     """
+    def integrand(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        root = z + 1.0
+        np.sqrt(root, out=root)
+        f = np.multiply(-beta, root)
+        np.exp(f, out=f)
+        f /= root
+        return f
+
     big_m = ns[:, None] * math.pi / a
     beta = lam * big_m
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        root = np.sqrt(z + 1.0)
-        return np.exp(-beta * root) / root
-
     scale = 1.0 / beta**2 + 2.0 / beta
-    kernel = integrate_semi_infinite(integrand, tol, scale=scale)
+    kernel = integrate_semi_infinite(integrand, tol, scale=scale,
+                                     params=(beta,))
     return 0.5 * big_m[:, 0] * kernel.value
 
 
@@ -287,28 +300,33 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     """Regularized force per unit area by numerical n-sum and quadrature.
 
     Each radial integral is evaluated by double-exponential quadrature at a
-    tolerance one decade below ``tol``, a block of consecutive n at a time;
-    the n-sum stops once the exact geometric tail bound falls below
-    tol * |partial sum|.  No closed-form knowledge of the radial integral or
-    of the summed series enters this route.
+    tolerance one decade below ``tol``, for the blocks of consecutive n
+    that the tail-bounded sum asks for; the n-sum stops once the exact
+    geometric tail bound falls below tol * |partial sum|.  No closed-form
+    knowledge of the radial integral or of the summed series enters this
+    route.
 
-    Raises TailBoundError if n_max terms never meet the bound (lambda too
-    small for the given n_max) and QuadratureError if an integral fails.
+    Raises ValueError for a tol below 1e-15 (_MIN_NUMERIC_TOL), which the
+    quadrature cannot meet, TailBoundError if n_max terms never meet the
+    bound (lambda too small for the given n_max), QuadratureError if an
+    integral fails and FloatingPointError if a term is not finite.
     """
     check_positive_finite("a", a)
+    check_positive_finite("tol", tol)
+    if tol < _MIN_NUMERIC_TOL:
+        raise ValueError(f"tol = {tol!r} is below {_MIN_NUMERIC_TOL:g}, the "
+                         "smallest the numeric_sum route can meet")
     lam = reg.lam
     pref = _prefactor(a, units)
-    terms: list[float] = []
 
-    def term(n: int) -> float:
-        if n > len(terms):
-            size = min(max(_FIRST_BLOCK, len(terms)), _MAX_BLOCK)
-            ns = np.arange(len(terms) + 1, min(len(terms) + size, n_max) + 1)
-            radial = _radial_integrals(a, lam, ns, 0.1 * tol)
-            terms.extend((pref * ns * ns * radial).tolist())
-        return terms[n - 1]
+    def terms(ns: np.ndarray) -> np.ndarray:
+        # Extreme a or lambda overflow the prefactor, M, beta or the scale.
+        # The terms they touch come out non-finite, which the sum rejects,
+        # or their integrals never converge, which the quadrature reports.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return pref * ns * ns * _radial_integrals(a, lam, ns, 0.1 * tol)
 
-    return sum_until_tail_bound(term, _tail_bound_factory(a, lam, units),
+    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam, units),
                                 tol, max_terms=n_max)
 
 
@@ -318,10 +336,10 @@ def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     check_positive_finite("a", a)
     lam = reg.lam
 
-    def term(n: int) -> float:
-        return per_n_term(a, reg, n, units)
+    def terms(ns: np.ndarray) -> np.ndarray:
+        return np.array([per_n_term(a, reg, n, units) for n in ns.tolist()])
 
-    return sum_until_tail_bound(term, _tail_bound_factory(a, lam, units),
+    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam, units),
                                 tol, max_terms=n_max)
 
 

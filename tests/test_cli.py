@@ -319,6 +319,38 @@ def test_out_of_range_exits_2_with_one_line(argv):
     assert not _NON_FINITE.search(out)
 
 
+#: Inputs that once printed numpy RuntimeWarnings, ran the numeric sum to
+#: n_max on NaN terms, or named a tol the user never gave, each before its
+#: one-line error.  A subprocess sees the warnings, which pytest captures
+#: in process.
+ONE_LINE_FAILURES = [
+    (["force", "--a", "5e-324", "--lambda", "4.56e16", "--route",
+      "numeric_sum"], 2, "leaves the double range"),
+    (["force", "--a", "1", "--lambda", "1e300", "--route", "numeric_sum"],
+     2, "leaves the double range"),
+    (["extract", "--a", "2.3e-115"], 1, "degenerate design column"),
+    (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
+      "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
+    (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
+      "--tol=1e-20"], 2, "tol = 1e-20 is below 1e-15"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ONE_LINE_FAILURES,
+                         ids=[" ".join(case[0]) for case in ONE_LINE_FAILURES])
+def test_failure_prints_one_line_in_subprocess(argv, code, message):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "casimir_plates.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert message in done.stderr
+
+
 def _flag(name, value):
     return f"--{name}={value!r}"
 

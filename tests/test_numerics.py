@@ -77,12 +77,13 @@ class TestIntegrateSemiInfinite:
     def _sqrt_kernel_block(betas, tol):
         beta = np.asarray(betas, dtype=float)[:, None]
 
-        def integrand(z):
+        def integrand(z, beta):
             root = np.sqrt(z + 1.0)
             return np.exp(-beta * root) / root
 
         return integrate_semi_infinite(integrand, tol,
-                                       scale=1.0 / beta**2 + 2.0 / beta)
+                                       scale=1.0 / beta**2 + 2.0 / beta,
+                                       params=(beta,))
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-11, 1e-13])
     def test_block_error_estimate_bounds_error(self, tol):
@@ -100,8 +101,9 @@ class TestIntegrateSemiInfinite:
         # integrals below the smallest normal float are sums of subnormal
         # values, which carry relative rounding errors far above tol
         scales = np.geomspace(1e-321, 1e-300, 400)[:, None]
-        res = integrate_semi_infinite(lambda x: scales * np.exp(-x), 1e-11,
-                                      scale=np.ones_like(scales))
+        res = integrate_semi_infinite(lambda x, c: c * np.exp(-x), 1e-11,
+                                      scale=np.ones_like(scales),
+                                      params=(scales,))
         exact = scales[:, 0]
         assert np.all(res.error_estimate >= np.abs(res.value - exact))
         normal = exact >= 1e-290
@@ -111,16 +113,21 @@ class TestIntegrateSemiInfinite:
     def test_block_rows_match_single_rows(self):
         betas = [0.01, 0.3, 2.0, 25.0]
         block = self._sqrt_kernel_block(betas, 1e-11)
+        evaluations = 0
         for i, beta in enumerate(betas):
             single = self._sqrt_kernel_block([beta], 1e-11)
             assert block.value[i] == single.value[0]
             assert block.error_estimate[i] == single.error_estimate[0]
+            evaluations += single.evaluations
+        # a row is no longer evaluated once it has converged
+        assert block.evaluations == evaluations
 
     def test_block_failure_carries_rows(self):
         beta = np.array([[0.5], [5.0]])
         with pytest.raises(QuadratureError) as info:
-            integrate_semi_infinite(lambda z: np.exp(-beta * z), 1e-12,
-                                    scale=np.ones((2, 1)), limit=2)
+            integrate_semi_infinite(lambda z, beta: np.exp(-beta * z), 1e-12,
+                                    scale=np.ones((2, 1)), params=(beta,),
+                                    limit=2)
         assert info.value.value.shape == (2,)
         assert np.all(np.isfinite(info.value.value))
         assert info.value.evaluations == 2 * 33
@@ -148,7 +155,8 @@ class TestSumUntilTailBound:
 
     def test_exhaustion_raises(self):
         with pytest.raises(TailBoundError) as info:
-            sum_until_tail_bound(lambda n: 1.0 / n, lambda n: 1.0, 1e-10,
+            sum_until_tail_bound(lambda n: 1.0 / n,
+                                 lambda n: np.full(n.shape, 1.0), 1e-10,
                                  max_terms=50)
         assert info.value.bound == 1.0
         assert info.value.partial_sum > 0.0
@@ -156,7 +164,49 @@ class TestSumUntilTailBound:
     def test_rejects_bad_tol(self):
         for tol in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
-                sum_until_tail_bound(lambda n: 0.0, lambda n: 0.0, tol)
+                sum_until_tail_bound(lambda n: np.zeros(n.shape),
+                                     lambda n: np.zeros(n.shape), tol)
+
+    @staticmethod
+    def _running_sum(term, tail_bound, tol, max_terms):
+        """The reference: one term at a time into a running float."""
+        total = 0.0
+        for n in range(1, max_terms + 1):
+            total += float(term(np.array([n]))[0])
+            if float(tail_bound(np.array([n]))[0]) <= tol * abs(total):
+                return total, n
+        raise AssertionError("reference sum did not stop")
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99, 0.999])
+    def test_blocks_match_running_sum(self, q):
+        asked = []
+
+        def terms(ns):
+            asked.append(ns)
+            return ns * q**ns
+
+        def tail_bound(ns):
+            return q ** (ns + 1) * (ns + 1.0 / (1.0 - q)) / (1.0 - q)
+
+        total = sum_until_tail_bound(terms, tail_bound, 1e-12)
+        ns = np.concatenate(asked)
+        expected, stop = self._running_sum(terms, tail_bound, 1e-12, 200_000)
+        assert total == expected
+        # consecutive blocks, none of them past the one that holds the stop
+        assert np.array_equal(ns, np.arange(1, ns.size + 1))
+        assert stop <= ns.size < stop + 512
+
+    def test_non_finite_term_raises_at_first_block(self):
+        asked = []
+
+        def terms(ns):
+            asked.append(ns.size)
+            return np.where(ns < 100, 1.0 / ns**2, math.nan)
+
+        with pytest.raises(FloatingPointError, match="term 100"):
+            sum_until_tail_bound(terms, lambda n: 1.0 / n, 1e-10,
+                                 max_terms=4000)
+        assert sum(asked) < 1000
 
     @given(q=st.floats(min_value=0.05, max_value=0.9))
     def test_geometric_series_property(self, q):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_plates.numerics import IllConditionedFitError, TailBoundError
+from casimir_plates import regsum
+from casimir_plates.numerics import (
+    IllConditionedFitError,
+    QuadratureError,
+    TailBoundError,
+)
 from casimir_plates.regsum import (
     BASIS_EXPONENTS,
     BernoulliTable,
@@ -136,6 +141,59 @@ class TestNumericSum:
         numeric = force_sum_numeric(a, reg, NATURAL, tol=1e-10)
         closed = force_closed_form(a, reg, NATURAL)
         assert abs(numeric - closed) <= 1e-4 * abs(closed) + 1e-320
+
+    @pytest.mark.parametrize("ratio", [0.02, 0.05, 0.1, 0.2])
+    def test_integrates_only_what_the_sum_uses(self, ratio, monkeypatch):
+        # at these cutoffs the sum stops past its first block of 64 terms
+        integrated, counts = [], []
+        radial = regsum._radial_integrals
+        block_sum = regsum.sum_until_tail_bound
+
+        def counting_radial(a, lam, ns, tol):
+            integrated.append(np.size(ns))
+            return radial(a, lam, ns, tol)
+
+        def counting_sum(terms, tail_bound, tol, **kwargs):
+            computed = []
+
+            def recording(ns):
+                values = terms(ns)
+                computed.append(np.atleast_1d(values))
+                return values
+
+            total = block_sum(recording, tail_bound, tol, **kwargs)
+            # the n at which a running sum of the same terms stops
+            running = 0.0
+            for n, value in enumerate(np.concatenate(computed).tolist(), 1):
+                running += value
+                if tail_bound(np.array([n]))[0] <= tol * abs(running):
+                    assert total == running
+                    counts.append((sum(integrated), n))
+                    return total
+            raise AssertionError("the running sum did not stop")
+
+        monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
+        monkeypatch.setattr(regsum, "sum_until_tail_bound", counting_sum)
+        force_sum_numeric(1.0, Regulator(ratio / math.pi), NATURAL, tol=1e-10)
+        (rows, summed), = counts
+        assert summed <= rows <= 1.05 * summed
+
+    @pytest.mark.parametrize("tol", [9.9e-16, 1e-20, 5e-324])
+    def test_rejects_tol_below_floor(self, tol):
+        with pytest.raises(ValueError, match=f"tol = {tol!r} is below 1e-15"):
+            force_sum_numeric(1.0, Regulator(0.1), NATURAL, tol=tol)
+        with pytest.raises(ValueError, match=f"tol = {tol!r}") as exc:
+            decompose(1.0, Regulator(0.1), NATURAL, "numeric_sum", tol=tol)
+        assert exc.type is ValueError
+
+    def test_tol_floor_admits_the_floor(self):
+        # 1e-15 is not rejected up front: the quadrature then converges or
+        # fails on its own terms, depending on the cutoff
+        try:
+            force_sum_numeric(1.0, Regulator(0.1 / math.pi), NATURAL,
+                              tol=1e-15)
+        except QuadratureError:
+            pass
 
     def test_tail_bound_exhaustion(self):
         # at lambda pi / a = 0.05 the sum needs several hundred terms

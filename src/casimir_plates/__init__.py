@@ -34,7 +34,7 @@ from .regsum import (
     force_sum_numeric,
     series_terms,
 )
-from .stress import ModeStress, StressTensor, sigma_zz_direct, sigma_zz_mode, stress_tensor
+from .stress import sigma_zz_direct, sigma_zz_mode, stress_tensor
 from .units import NATURAL, SI, UnitSystem, get_units
 
 __version__ = "0.1.0"
@@ -43,12 +43,10 @@ __all__ = [
     "CavityGeometry",
     "ModeAmplitudes",
     "ModeIndex",
-    "ModeStress",
     "NATURAL",
     "Regulator",
     "RegularizedForce",
     "SI",
-    "StressTensor",
     "UnitSystem",
     "WaveVector",
     "amplitude_norm_squared",

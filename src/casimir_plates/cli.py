@@ -20,14 +20,16 @@ not converge or an input was rejected.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
 from . import regsum, stress, verify
-from .modes import CavityGeometry, ModeIndex
+from .modes import CavityGeometry, ModeIndex, wave_vector
 from .numerics import IllConditionedFitError, NumericsError
 from .units import get_units
 
@@ -251,12 +253,19 @@ def cmd_modes(args, cfg) -> int:
     units = get_units(_setting(args.units, "units", cfg))
     geom = CavityGeometry(a=args.a, L=args.big_l)
     rows = []
-    for nx in range(1, args.n_max + 1):
-        for ny in range(1, args.n_max + 1):
-            for nz in range(1, args.n_max + 1):
-                ms = stress.sigma_zz_mode(ModeIndex(nx, ny, nz), geom, units)
-                rows.append({"n_x": nx, "n_y": ny, "n_z": nz,
-                             "kappa": ms.kappa, "sigma_zz": ms.sigma_zz})
+    for n in itertools.product(range(1, args.n_max + 1), repeat=3):
+        mode = ModeIndex(*n)
+        try:
+            values = (wave_vector(mode, geom).kappa,
+                      stress.sigma_zz_mode(mode, geom, units))
+            finite = all(map(math.isfinite, values))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise regsum.PrecisionLossError(
+                f"mode {n} at a = {geom.a!r}, L = {geom.L!r}: kappa or "
+                "sigma_zz leaves the double range")
+        rows.append(dict(zip(MODES_COLUMNS, (*n, *values))))
     if args.format == "json":
         _print_json({"schema_version": SCHEMA_VERSION, "command": "modes",
                      "units": units.name, "a": geom.a, "L": geom.L,
@@ -333,9 +342,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Join "--a -1e-3" into "--a=-1e-3", for every long option.
+
+    argparse reads a value such as "-1e-3", "-1,1" or "-inf" as an option,
+    so it would never reach the check that names it.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if (joined and re.fullmatch(r"--[\w-]+", joined[-1])
+                and _NEGATIVE_VALUE.match(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         cfg = _load_config(args.config)
         return args.handler(args, cfg)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import central_difference, check_positive_finite
+from .numerics import check_positive_finite, jacobian_fd
 from .units import UnitSystem
 
 __all__ = [
@@ -142,9 +142,6 @@ class ModeAmplitudes:
     @property
     def norm_squared(self) -> float:
         return self.a_x**2 + self.a_y**2 + self.a_z**2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a_x, self.a_y, self.a_z])
 
 
 def wave_vector(mode: ModeIndex, geom: CavityGeometry) -> WaveVector:
@@ -266,18 +263,14 @@ def divergence_residual(point, wv: WaveVector, amp: ModeAmplitudes,
                         step: float | None = None) -> float:
     """Central-finite-difference estimate of div E at a point.
 
-    Vanishes to O(step^2) for transverse amplitudes.  ``step`` defaults to
+    The trace of jacobian_fd's Jacobian, added left to right.  Vanishes to
+    O(step^2) for transverse amplitudes.  ``step`` defaults to
     default_fd_step(wv).
     """
     if step is None:
         step = default_fd_step(wv)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-
-    def component(i: int):
-        return lambda p: float(electric_mode_at(p, wv, amp)[i])
-
-    return sum(central_difference(component(i), point, i, step) for i in range(3))
+    jac = jacobian_fd(lambda p: electric_mode_at(p, wv, amp), point, step)
+    return float(jac[0, 0]) + float(jac[1, 1]) + float(jac[2, 2])
 
 
 def mean_square_E(wv: WaveVector, amp: ModeAmplitudes, region: str) -> float:

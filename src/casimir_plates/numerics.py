@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, tail-bounded sums, basis fits, stencils.
+"""Shared numerical kernels: quadrature, tail-bounded sums, fits, FD Jacobian.
 
 Every routine here is deterministic (same inputs give bit-identical outputs)
 and reports an explicit error measure, either in its result type or in the
@@ -25,8 +25,7 @@ __all__ = [
     "integrate_semi_infinite",
     "sum_until_tail_bound",
     "fit_linear_basis",
-    "central_difference",
-    "curl_fd",
+    "jacobian_fd",
     "mean_over_rectangle",
     "mean_over_box",
 ]
@@ -354,41 +353,21 @@ def fit_linear_basis(samples: Iterable[tuple[float, float]],
                      condition_estimate=cond)
 
 
-def central_difference(
-    f: Callable[[np.ndarray], float],
-    point: Sequence[float],
-    axis: int,
-    step: float,
-) -> float:
-    """Two-sided first derivative of a scalar field along one axis.
-
-    Second-order accurate: the truncation error is (step**2 / 6) times the
-    third derivative along ``axis``.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    p = np.asarray(point, dtype=float)
-    offset = np.zeros_like(p)
-    offset[axis] = step
-    return (f(p + offset) - f(p - offset)) / (2.0 * step)
-
-
-def curl_fd(
+def jacobian_fd(
     field: Callable[[np.ndarray], np.ndarray],
     point: Sequence[float],
     step: float,
 ) -> np.ndarray:
-    """Finite-difference curl of a 3-vector field, error O(step^2)."""
+    """J[i, j] = (f_i(p + step e_j) - f_i(p - step e_j)) / (2 step) at p.
 
-    def component(i: int) -> Callable[[np.ndarray], float]:
-        return lambda p: float(field(p)[i])
-
-    d = lambda i, axis: central_difference(component(i), point, axis, step)
-    return np.array([
-        d(2, 1) - d(1, 2),
-        d(0, 2) - d(2, 0),
-        d(1, 0) - d(0, 1),
-    ])
+    Two calls of ``field`` per axis.  Second-order accurate: the error of
+    J[i, j] is (step**2 / 6) times the third derivative of f_i along axis j.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    p = np.asarray(point, dtype=float)
+    return np.stack([(field(p + e) - field(p - e)) / (2.0 * step)
+                     for e in step * np.eye(p.size)], axis=-1)
 
 
 _GL_LEVELS = (8, 16, 32, 64, 128, 256)

@@ -47,7 +47,6 @@ from .units import NATURAL, UnitSystem
 __all__ = [
     "Regulator",
     "RegularizedForce",
-    "BernoulliTable",
     "SeriesTerm",
     "AsymptoticParts",
     "ExtractedForce",
@@ -87,7 +86,7 @@ _EXTRACT_RATIO_WINDOW = (0.01, 0.5)
 
 
 class PrecisionLossError(ValueError):
-    """A value lost to cancellation, or a force record out of double range."""
+    """A value lost to cancellation, or a result out of double range."""
 
 
 @dataclass(frozen=True)
@@ -123,24 +122,6 @@ class RegularizedForce:
     @property
     def remainder(self) -> float:
         return self.total - self.divergent_part - self.finite_part
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_n as exact fractions, B_1 = -1/2 convention."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        v = self.values
-        if len(v) < 1 or v[0] != 1:
-            raise ValueError("table must start with B_0 = 1")
-        for i in range(3, len(v), 2):
-            if v[i] != 0:
-                raise ValueError(f"odd-index B_{i} must vanish")
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -186,8 +167,8 @@ class ExtractedForce:
     condition_estimate: float
 
 
-def bernoulli_numbers(h_max: int) -> BernoulliTable:
-    """Bernoulli numbers B_0..B_h_max by the defining recurrence.
+def bernoulli_numbers(h_max: int) -> tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_h_max, as Fractions, by the defining recurrence.
 
     Uses sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, solved for B_m with exact
     rational arithmetic.  The B_1 = -1/2 convention matches the generating
@@ -195,7 +176,7 @@ def bernoulli_numbers(h_max: int) -> BernoulliTable:
     """
     if h_max < 4:
         raise ValueError("h_max must be at least 4")
-    return BernoulliTable(values=_bernoulli_values(h_max))
+    return _bernoulli_values(h_max)
 
 
 @functools.lru_cache(maxsize=32)
@@ -369,7 +350,7 @@ def force_closed_form(a: float, reg: Regulator,
     return (_prefactor(a, units) / lam) * q * (1.0 + q) / one_minus_q**3
 
 
-def _series_coefficient(h: int, table: BernoulliTable) -> Fraction:
+def _series_coefficient(h: int, table: tuple[Fraction, ...]) -> Fraction:
     """Exact rational coefficient -(1/2) (B_h / h!) (-1)^h (h-1)(h-2)."""
     sign = -1 if h % 2 else 1
     return Fraction(-sign * (h - 1) * (h - 2), 2) * table[h] / math.factorial(h)
@@ -478,8 +459,10 @@ def extract_finite_part(a: float,
     at least four distinct values with lambda pi / a in [0.01, 0.5], the
     window where the four-term model represents F to fit accuracy.
 
-    Raises IllConditionedFitError for grids (clustered points, say) on
-    which the basis functions become collinear.
+    Raises PrecisionLossError, naming a, when the lam**-4 column leaves the
+    double range (default grid: a below 1.85e-37 or above 1.77e42), and
+    IllConditionedFitError for grids (clustered points, say) on which the
+    basis functions become collinear.
     """
     check_positive_finite("a", a)
     lams = sorted({reg.lam if isinstance(reg, Regulator) else float(reg)
@@ -495,6 +478,14 @@ def extract_finite_part(a: float,
             raise ValueError(
                 f"lambda = {lam:g} gives lambda*pi/a = {ratio:.3g} outside "
                 f"the supported window [{lo:g}, {hi:g}]")
+    # the fit divides the lam**-4 column by its 2-norm; inside the window a
+    # positive finite norm also keeps every entry a normal double
+    with np.errstate(over="ignore", under="ignore"):
+        pole_norm = np.linalg.norm(np.power(lams, -4.0))
+    if not 0.0 < pole_norm < math.inf:
+        raise PrecisionLossError(
+            f"extract at a = {a!r}: the lambda**-4 column of the fit leaves "
+            "the double range")
     samples = [(lam, force_closed_form(a, Regulator(lam), units))
                for lam in lams]
     fit = fit_linear_basis(samples, BASIS_EXPONENTS)

@@ -17,9 +17,6 @@ each other, so none of them shares intermediate results.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .modes import (
@@ -38,8 +35,6 @@ from .numerics import mean_over_rectangle
 from .units import UnitSystem
 
 __all__ = [
-    "StressTensor",
-    "ModeStress",
     "stress_tensor",
     "sigma_zz_mode",
     "sigma_zz_direct",
@@ -47,40 +42,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StressTensor:
-    """Maxwell stress tensor(s); ``matrix`` has shape (..., 3, 3).
-
-    Symmetric by construction.  Sign convention: sigma_zz < 0 means the
-    field pulls the plate toward the cavity interior.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def zz(self) -> np.ndarray:
-        return self.matrix[..., 2, 2]
-
-
-@dataclass(frozen=True)
-class ModeStress:
-    """Plate- and period-averaged normal stress of a single mode.
-
-    ``sigma_zz`` is negative for every mode: each mode presses the plates
-    together.
-    """
-
-    mode: ModeIndex
-    kappa: float
-    sigma_zz: float
-
-
-def stress_tensor(E, B, units: UnitSystem) -> StressTensor:
+def stress_tensor(E, B, units: UnitSystem) -> np.ndarray:
     """Maxwell stress tensor from field values.
 
-    ``E`` and ``B`` are array-likes of shape (..., 3); the result matrix is
+    ``E`` and ``B`` are array-likes of shape (..., 3); the result is
     eps0 E_i E_j + B_i B_j / mu0 - delta_ij (eps0 E^2 + B^2/mu0) / 2 with
-    shape (..., 3, 3).
+    shape (..., 3, 3).  Symmetric by construction.  Sign convention:
+    sigma_zz < 0 means the field pulls the plate toward the cavity interior.
     """
     e = np.asarray(E, dtype=float)
     b = np.asarray(B, dtype=float)
@@ -92,22 +60,20 @@ def stress_tensor(E, B, units: UnitSystem) -> StressTensor:
     outer_b = b[..., :, None] * b[..., None, :]
     trace_half = 0.5 * (eps0 * np.sum(e * e, axis=-1)
                         + inv_mu0 * np.sum(b * b, axis=-1))
-    matrix = (eps0 * outer_e + inv_mu0 * outer_b
-              - trace_half[..., None, None] * np.eye(3))
-    return StressTensor(matrix=matrix)
+    return (eps0 * outer_e + inv_mu0 * outer_b
+            - trace_half[..., None, None] * np.eye(3))
 
 
 def sigma_zz_mode(mode: ModeIndex, geom: CavityGeometry,
-                  units: UnitSystem) -> ModeStress:
-    """Closed-form averaged normal stress of one mode."""
+                  units: UnitSystem) -> float:
+    """Closed-form averaged normal stress of one mode, negative for all."""
     wv = wave_vector(mode, geom)
-    value = -0.25 * units.hbar_c / (geom.L**2 * geom.a) * wv.k_z**2 / wv.k
-    return ModeStress(mode=mode, kappa=wv.kappa, sigma_zz=value)
+    return -0.25 * units.hbar_c / (geom.L**2 * geom.a) * wv.k_z**2 / wv.k
 
 
 def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
                     tol: float = 1e-10, *, polarization_angle: float = 0.0,
-                    plate: str = "bottom") -> ModeStress:
+                    plate: str = "bottom") -> float:
     """Averaged normal stress by quadrature of the full tensor over a plate.
 
     Builds the mode fields from scratch (generator amplitudes at the given
@@ -128,10 +94,9 @@ def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     def plane_zz(xs, ys):
         e = electric_mode_on_grid(xs, ys, z_plane, wv, amp)
         b = magnetic_mode_on_grid(xs, ys, z_plane, wv, amp, omega)
-        return stress_tensor(e, b, units).zz
+        return stress_tensor(e, b, units)[..., 2, 2]
 
-    result = mean_over_rectangle(plane_zz, geom.L, geom.L, tol)
-    return ModeStress(mode=mode, kappa=wv.kappa, sigma_zz=result.value)
+    return mean_over_rectangle(plane_zz, geom.L, geom.L, tol).value
 
 
 def sigma_zz_from_boundary_averages(wv: WaveVector, amp: ModeAmplitudes,

@@ -186,15 +186,14 @@ class TestModes:
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 8
-        from casimir_plates.modes import CavityGeometry, ModeIndex
+        from casimir_plates.modes import CavityGeometry, ModeIndex, wave_vector
         from casimir_plates.stress import sigma_zz_mode
         from casimir_plates.units import NATURAL
-        want = sigma_zz_mode(ModeIndex(2, 1, 2),
-                             CavityGeometry(a=0.7, L=2.0), NATURAL)
+        mode, geom = ModeIndex(2, 1, 2), CavityGeometry(a=0.7, L=2.0)
         got = next(r for r in rows if r["n_x"] == "2" and r["n_y"] == "1"
                    and r["n_z"] == "2")
-        assert float(got["sigma_zz"]) == want.sigma_zz
-        assert float(got["kappa"]) == want.kappa
+        assert float(got["sigma_zz"]) == sigma_zz_mode(mode, geom, NATURAL)
+        assert float(got["kappa"]) == wave_vector(mode, geom).kappa
 
 
 class TestVerifyCommand:
@@ -320,15 +319,28 @@ def test_out_of_range_exits_2_with_one_line(argv):
 
 
 #: Inputs that once printed numpy RuntimeWarnings, ran the numeric sum to
-#: n_max on NaN terms, or named a tol the user never gave, each before its
-#: one-line error.  A subprocess sees the warnings, which pytest captures
+#: n_max on NaN terms, named a tol the user never gave, reported a range
+#: failure of extract as a rejected fit (exit 1), or named neither the mode
+#: nor the geometry of a modes overflow, each before or in its one-line
+#: error.  A subprocess sees the warnings, which pytest captures
 #: in process.
 ONE_LINE_FAILURES = [
     (["force", "--a", "5e-324", "--lambda", "4.56e16", "--route",
       "numeric_sum"], 2, "leaves the double range"),
     (["force", "--a", "1", "--lambda", "1e300", "--route", "numeric_sum"],
      2, "leaves the double range"),
-    (["extract", "--a", "2.3e-115"], 1, "degenerate design column"),
+    (["extract", "--a", "2.3e-115"], 2,
+     "extract at a = 2.3e-115: the lambda**-4 column of the fit leaves the "
+     "double range"),
+    (["extract", "--a", "1e100"], 2,
+     "extract at a = 1e+100: the lambda**-4 column of the fit leaves the "
+     "double range"),
+    (["modes", "--a", "1e-200"], 2,
+     "mode (1, 1, 1) at a = 1e-200, L = 1.0: kappa or sigma_zz leaves the "
+     "double range"),
+    (["modes", "--a", "1e-100", "--L", "1e-100"], 2,
+     "mode (1, 1, 1) at a = 1e-100, L = 1e-100: kappa or sigma_zz leaves "
+     "the double range"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
       "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
@@ -351,6 +363,28 @@ def test_failure_prints_one_line_in_subprocess(argv, code, message):
     assert message in done.stderr
 
 
+#: Negative values in exponent or list form, which argparse would read as
+#: options, each with the validation message it has to reach.
+NEGATIVE_VALUE_ARGV = [
+    (["force", "--a", "-1e-3", "--lambda", "0.1"],
+     "a must be positive and finite, got -0.001"),
+    (["sweep", "--a", "-1,1"], "a must be positive and finite, got -1.0"),
+    (["sweep", "--lambda", "-0.1,0.2"],
+     "lam must be positive and finite, got -0.1"),
+    (["modes", "--L", "-2e0"], "L must be positive and finite, got -2.0"),
+    (["extract", "--a", "-1e0"], "a must be positive and finite, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NEGATIVE_VALUE_ARGV,
+                         ids=[" ".join(case[0]) for case in NEGATIVE_VALUE_ARGV])
+def test_negative_value_reaches_validation(argv, message):
+    code, out, err = _run_quietly(argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"casimir: {message}"]
+
+
 def _flag(name, value):
     return f"--{name}={value!r}"
 
@@ -366,6 +400,10 @@ _argvs = st.one_of(
                                           route, _flag("tol", tol)],
               _floats, _floats, st.sampled_from(regsum.ROUTES), _floats),
     st.builds(lambda a: ["extract", _flag("a", a)], _floats),
+    # a list as its own token, led by a negative entry
+    st.builds(lambda first, rest: ["sweep", "--a",
+                                   ",".join(map(repr, [first, *rest]))],
+              st.floats(max_value=-0.0), st.lists(_floats, max_size=2)),
     st.builds(lambda a, big_l, n_max: ["modes", _flag("a", a),
                                        _flag("L", big_l), f"--n-max={n_max}"],
               _floats, _floats, st.integers(0, 3)),
@@ -373,7 +411,7 @@ _argvs = st.one_of(
 
 
 def _pin_examples(test):
-    for argv in OUT_OF_RANGE_ARGV:
+    for argv in OUT_OF_RANGE_ARGV + [case[0] for case in NEGATIVE_VALUE_ARGV]:
         test = example(argv=argv)(test)
     return test
 

@@ -14,7 +14,6 @@ from casimir_plates.numerics import (
 )
 from casimir_plates.regsum import (
     BASIS_EXPONENTS,
-    BernoulliTable,
     PrecisionLossError,
     Regulator,
     asymptotic_parts,
@@ -52,18 +51,18 @@ class TestBernoulli:
         assert bernoulli_numbers(12)[12] == Fraction(-691, 2730)
 
     def test_values_are_fractions(self):
-        assert all(isinstance(v, Fraction) for v in bernoulli_numbers(6).values)
+        assert all(isinstance(v, Fraction) for v in bernoulli_numbers(6))
 
     def test_rejects_small_h_max(self):
         with pytest.raises(ValueError):
             bernoulli_numbers(3)
 
     def test_table_validation(self):
-        with pytest.raises(ValueError):
-            BernoulliTable(values=(Fraction(2),))
-        with pytest.raises(ValueError):
-            BernoulliTable(values=(Fraction(1), Fraction(-1, 2), Fraction(1, 6),
-                                   Fraction(1)))
+        # B_0 = 1 and every odd B_i from i = 3 on vanishes
+        table = bernoulli_numbers(30)
+        assert len(table) == 31
+        assert table[0] == 1
+        assert all(table[i] == 0 for i in range(3, 31, 2))
 
 
 class TestRegulator:

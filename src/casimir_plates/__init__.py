@@ -9,6 +9,9 @@ The attraction emerges in three layers, each exposed on its own:
 
 numerics holds the shared kernels (quadrature, tail-bounded sums, basis
 fits), verify the cross-layer self-checks, and cli the command line.
+
+Every function that works on arrays imports numpy itself, so importing the
+package, and the closed-form, series and mode-table paths, never load it.
 """
 
 from .modes import (

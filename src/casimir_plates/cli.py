@@ -77,15 +77,15 @@ def _setting(flag_value, key: str, cfg: dict[str, str]) -> str:
     return _DEFAULTS[key]
 
 
-def _float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
+def _str_list(text: str) -> list[str]:
+    values = [part.strip() for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"empty list {text!r}")
     return values
 
 
-def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in _str_list(text)]
 
 
 def _finite(value: float) -> float:
@@ -251,6 +251,8 @@ def cmd_extract(args, cfg) -> int:
 
 def cmd_modes(args, cfg) -> int:
     units = get_units(_setting(args.units, "units", cfg))
+    if args.n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {args.n_max}")
     geom = CavityGeometry(a=args.a, L=args.big_l)
     rows = []
     for n in itertools.product(range(1, args.n_max + 1), repeat=3):

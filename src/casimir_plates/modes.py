@@ -25,12 +25,15 @@ keeps boundary statements in downstream checks exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numerics import check_positive_finite, jacobian_fd
 from .units import UnitSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModeIndex",
@@ -59,6 +62,7 @@ class TransversalityError(ValueError):
 
 def _sinpi(t):
     """sin(pi * t) with exact zeros at integer t."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     nearest = np.round(t)
     sign = np.where(nearest.astype(np.int64) % 2 == 0, 1.0, -1.0)
@@ -67,6 +71,7 @@ def _sinpi(t):
 
 def _cospi(t):
     """cos(pi * t) with exact zeros at half-integer t."""
+    import numpy as np
     return _sinpi(0.5 - np.asarray(t, dtype=float))
 
 
@@ -80,7 +85,7 @@ class ModeIndex:
 
     def __post_init__(self):
         for label, n in (("n_x", self.n_x), ("n_y", self.n_y), ("n_z", self.n_z)):
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
                 raise ValueError(f"{label} must be an integer, got {n!r}")
             if n < 1:
                 raise ValueError(f"{label} must be >= 1, got {n}")
@@ -125,6 +130,7 @@ class WaveVector:
 
     def phases(self, x, y, z):
         """Return (t_x, t_y, t_z) such that k_i * coord = pi * t_i."""
+        import numpy as np
         x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
         return (self.mode.n_x * (x / self.geom.L),
                 self.mode.n_y * (y / self.geom.L),
@@ -180,6 +186,7 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     returned vector satisfies A . k = 0 identically and |A|^2 equals
     amplitude_norm_squared.
     """
+    import numpy as np
     wv = wave_vector(mode, geom)
     kap, k = wv.kappa, wv.k
     e1 = np.array([wv.k_y, -wv.k_x, 0.0]) / kap
@@ -191,6 +198,7 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
 
 def _electric_field(tx, ty, tz, amp: ModeAmplitudes) -> np.ndarray:
     """E from phase arrays that broadcast; each sin and cos is taken once."""
+    import numpy as np
     sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
     cx, cy, cz = _cospi(tx), _cospi(ty), _cospi(tz)
     return np.stack([amp.a_x * cx * sy * sz,
@@ -201,6 +209,7 @@ def _electric_field(tx, ty, tz, amp: ModeAmplitudes) -> np.ndarray:
 def _magnetic_field(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes,
                     omega: float) -> np.ndarray:
     """curl(E)/omega from broadcastable phase arrays; see _electric_field."""
+    import numpy as np
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
@@ -218,6 +227,7 @@ def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     closed box [0, L]^2 x [0, a]; the result has the same shape.  Tangential
     components are exactly 0.0 on the plates z = 0 and z = a.
     """
+    import numpy as np
     p = np.asarray(point, dtype=float)
     return _electric_field(*wv.phases(*np.moveaxis(p, -1, 0)), amp)
 
@@ -235,6 +245,7 @@ def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
     The normal component B_z is exactly 0.0 on both plates.  See the module
     docstring for the dropped quarter-period phase.
     """
+    import numpy as np
     p = np.asarray(point, dtype=float)
     return _magnetic_field(*wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, omega)
 

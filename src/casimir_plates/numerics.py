@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NumericsError",
@@ -100,11 +102,11 @@ class FitResult:
 _DE_T_MAX = 4.0
 _DE_H0 = 0.5
 #: Rounding allowance of the error estimate, in units of eps * h * sum |g|.
-_DE_ROUNDING = 4.0 * np.finfo(float).eps
+_DE_ROUNDING = 4.0 * sys.float_info.epsilon
 #: Absolute floor of the convergence test: the smallest normal float.
 #: Below it values are subnormal and lose relative precision, so a
 #: relative test need not pass however fine the step.
-_DE_FLOOR = np.finfo(float).tiny
+_DE_FLOOR = sys.float_info.min
 
 
 @functools.lru_cache(maxsize=16)
@@ -114,6 +116,7 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     Level 0 holds t = k h0 on |t| <= _DE_T_MAX; level l >= 1 holds the odd
     multiples of h0 / 2**l there, the nodes that halving the step adds.
     """
+    import numpy as np
     half_width = round(_DE_T_MAX / _DE_H0)
     if level == 0:
         t = _DE_H0 * np.arange(-half_width, half_width + 1)
@@ -168,6 +171,7 @@ def integrate_semi_infinite(
     estimates, if a row does not converge within ``limit`` levels or its
     end terms exceed the tolerance.
     """
+    import numpy as np
     check_positive_finite("tol", tol)
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -271,6 +275,7 @@ def sum_until_tail_bound(
     holds a non-finite term, and TailBoundError (carrying the partial sum
     and last bound) if ``max_terms`` terms never satisfy the criterion.
     """
+    import numpy as np
     check_positive_finite("tol", tol)
     total = 0.0
     ns = np.arange(1, min(_FIRST_BLOCK, max_terms) + 1)
@@ -317,6 +322,7 @@ def fit_linear_basis(samples: Iterable[tuple[float, float]],
     Raises IllConditionedFitError when the equilibrated condition number
     exceeds _COND_MAX (1e6) or the matrix is rank deficient.
     """
+    import numpy as np
     pts = np.asarray(list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("samples must be (x, y) pairs")
@@ -363,6 +369,7 @@ def jacobian_fd(
     Two calls of ``field`` per axis.  Second-order accurate: the error of
     J[i, j] is (step**2 / 6) times the third derivative of f_i along axis j.
     """
+    import numpy as np
     if step <= 0.0:
         raise ValueError("step must be positive")
     p = np.asarray(point, dtype=float)
@@ -376,6 +383,7 @@ _GL_LEVELS = (8, 16, 32, 64, 128, 256)
 @functools.lru_cache(maxsize=len(_GL_LEVELS))
 def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -392,6 +400,7 @@ def _grid_mean(f: Callable[..., np.ndarray], lengths: tuple[float, ...],
     levels agree to ``tol`` relatively (or both fall below the absolute
     floor); the error estimate is the last inter-level difference.
     """
+    import numpy as np
     dims = len(lengths)
     axes = "ijklmn"[:dims]
     subscripts = ",".join(axes) + "," + axes + "->"

@@ -32,9 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .numerics import (
     check_positive_finite,
@@ -43,6 +41,9 @@ from .numerics import (
     sum_until_tail_bound,
 )
 from .units import NATURAL, UnitSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Regulator",
@@ -232,6 +233,7 @@ def _tail_bound_factory(a: float, lam: float, units: UnitSystem):
     overflow into inf and inf * 0 into nan without a warning; a bound
     that never meets the tolerance ends in TailBoundError.
     """
+    import numpy as np
     q = math.exp(-lam * math.pi / a)
     one_minus_q = -math.expm1(-lam * math.pi / a)
     scale = abs(_prefactor(a, units)) / lam
@@ -260,6 +262,7 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     large and like exp(-beta sqrt(z)) far out when beta is small, so the
     exp-sinh scale of each row is the sum of the two decay lengths.
     """
+    import numpy as np
     def integrand(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
         root = z + 1.0
         np.sqrt(root, out=root)
@@ -292,6 +295,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     bound (lambda too small for the given n_max), QuadratureError if an
     integral fails and FloatingPointError if a term is not finite.
     """
+    import numpy as np
     check_positive_finite("a", a)
     check_positive_finite("tol", tol)
     if tol < _MIN_NUMERIC_TOL:
@@ -314,6 +318,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
 def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
                     *, tol: float = 1e-12, n_max: int = 200_000) -> float:
     """Regularized force per unit area by summing the exact per-n terms."""
+    import numpy as np
     check_positive_finite("a", a)
     lam = reg.lam
 
@@ -464,6 +469,7 @@ def extract_finite_part(a: float,
     IllConditionedFitError for grids (clustered points, say) on which the
     basis functions become collinear.
     """
+    import numpy as np
     check_positive_finite("a", a)
     lams = sorted({reg.lam if isinstance(reg, Regulator) else float(reg)
                    for reg in lambda_grid})

@@ -17,7 +17,7 @@ each other, so none of them shares intermediate results.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .modes import (
     CavityGeometry,
@@ -33,6 +33,9 @@ from .modes import (
 )
 from .numerics import mean_over_rectangle
 from .units import UnitSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "stress_tensor",
@@ -50,6 +53,7 @@ def stress_tensor(E, B, units: UnitSystem) -> np.ndarray:
     shape (..., 3, 3).  Symmetric by construction.  Sign convention:
     sigma_zz < 0 means the field pulls the plate toward the cavity interior.
     """
+    import numpy as np
     e = np.asarray(E, dtype=float)
     b = np.asarray(B, dtype=float)
     if e.shape[-1] != 3 or b.shape[-1] != 3:

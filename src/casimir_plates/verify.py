@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import modes, regsum, stress
 from .numerics import jacobian_fd, mean_over_box, mean_over_rectangle
 from .units import NATURAL, UnitSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CheckResult", "run_all", "PROFILES"]
 
@@ -55,6 +56,7 @@ def _mode_grid(n_max: int):
 
 def check_boundary_zeros(units: UnitSystem = NATURAL) -> CheckResult:
     """Tangential E and normal B vanish exactly on both plates."""
+    import numpy as np
     worst = 0.0
     for geom in _GEOMS:
         for mode in _mode_grid(3):
@@ -131,6 +133,7 @@ def check_fd_divergence_rate(units: UnitSystem = NATURAL) -> CheckResult:
 
 def check_bulk_mean_square(units: UnitSystem = NATURAL, scale: float = 1.0) -> CheckResult:
     """Box mean of |E|^2 equals A^2/8 for all modes with n <= 3."""
+    import numpy as np
     worst = 0.0
     for geom in _GEOMS:
         for mode in _mode_grid(3):
@@ -148,6 +151,7 @@ def check_bulk_mean_square(units: UnitSystem = NATURAL, scale: float = 1.0) -> C
 
 def _plate_mean_square(field: Callable[..., np.ndarray], geom, z: float) -> float:
     """Mean of |field(x, y, z)|^2 over the plane at height z, to 1e-12."""
+    import numpy as np
     return mean_over_rectangle(
         lambda xs, ys: np.sum(field(xs, ys, z)**2, axis=-1),
         geom.L, geom.L, 1e-12).value
@@ -180,6 +184,7 @@ def check_boundary_mean_squares(units: UnitSystem = NATURAL,
 
 def check_curl_consistency(units: UnitSystem = NATURAL) -> CheckResult:
     """magnetic_mode_at agrees with a finite-difference curl of the E field."""
+    import numpy as np
     worst = 0.0
     for geom, mode in ((modes.CavityGeometry(a=0.9, L=1.3), modes.ModeIndex(1, 2, 2)),
                        (_GEOMS[0], modes.ModeIndex(3, 1, 2))):
@@ -335,6 +340,7 @@ def check_divergent_coefficient_stability(units: UnitSystem = NATURAL) -> CheckR
 
 def check_finite_part_scaling(units: UnitSystem = NATURAL) -> CheckResult:
     """The fitted finite part falls off as the fourth power of separation."""
+    import numpy as np
     seps = np.array([0.5, 0.75, 1.0, 1.5, 2.0])
     fitted = []
     for a in seps:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import regsum
-from casimir_plates.cli import main
+from casimir_plates import regsum, verify
+from casimir_plates.cli import build_parser, main
 from casimir_plates.units import SI
 
 
@@ -212,6 +213,13 @@ class TestVerifyCommand:
         assert {"name", "residual", "bound", "passed", "detail"} == set(
             doc["checks"][0])
 
+    def test_profile_choices_are_verify_profiles(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        profile = next(action for action in sub.choices["verify"]._actions
+                       if action.dest == "profile")
+        assert profile.choices is verify.PROFILES
+
 
 class TestConfigPrecedence:
     def test_config_file_sets_sweep_grid(self, capsys, tmp_path, monkeypatch):
@@ -265,16 +273,66 @@ class TestConfigPrecedence:
         assert "key = value" in err
 
 
-def test_cli_import_leaves_scipy_out():
+def _src_env(**extra):
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = "import sys, casimir_plates.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy too: the package and the CLI import only what their top levels
+    # need, and array code imports numpy where it runs
+    probe = ("import sys\n"
+             "for name in ('casimir_plates', 'casimir_plates.cli'):\n"
+             "    __import__(name)\n"
+             "    print(name, sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines() == ["casimir_plates []",
+                                        "casimir_plates.cli []"]
+
+
+#: Commands that use only math: closed-form and series forces, the
+#: closed-form sweep, and the mode table.
+NUMPY_FREE_ARGV = [
+    ["force", "--a", "1", "--lambda", "0.1", "--route", "closed_form",
+     "--json"],
+    ["force", "--a", "1", "--lambda", "0.1", "--route", "series", "--json"],
+    ["modes", "--n-max", "3", "--format", "json"],
+    ["sweep", "--a", "0.5,1,2", "--lambda", "0.005,0.02,0.1,0.3",
+     "--routes", "closed_form", "--format", "json"],
+]
+
+#: Runs cli.main on argv[2:] and reports what sys.modules holds under
+#: "numpy" on stderr; with argv[1] == "blocked", importing numpy raises.
+_NUMPY_PROBE = """\
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from casimir_plates.cli import main
+code = main(sys.argv[2:])
+print(sys.modules.get("numpy"), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("numpy_import", ["installed", "blocked"])
+@pytest.mark.parametrize("argv", NUMPY_FREE_ARGV, ids=" ".join)
+def test_math_commands_run_without_numpy(argv, numpy_import):
+    import numpy  # noqa: F401  (the in-process reference runs with it)
+
+    code, out, err = _run_quietly(argv)
+    assert (code, err) == (0, "")
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, numpy_import, *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == out
+    assert done.stderr == "None\n"
 
 
 #: Inputs whose results leave the double range or whose tol is not a
@@ -345,18 +403,27 @@ ONE_LINE_FAILURES = [
       "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
       "--tol=1e-20"], 2, "tol = 1e-20 is below 1e-15"),
+    (["modes", "--n-max", "0"], 2, "n_max must be at least 1, got 0"),
+    (["modes", "--n-max", "-2"], 2, "n_max must be at least 1, got -2"),
+    (["sweep", "--a", "1", "--lambda", "0.1", "--routes", ","], 2,
+     "empty list ','"),
+    # leading NAME=value tokens set the environment, as in a shell
+    (["CASIMIR_SWEEP_ROUTES=", "sweep", "--a", "1", "--lambda", "0.1"], 2,
+     "empty list ''"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", ONE_LINE_FAILURES,
                          ids=[" ".join(case[0]) for case in ONE_LINE_FAILURES])
 def test_failure_prints_one_line_in_subprocess(argv, code, message):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    assigned = {}
+    while re.fullmatch(r"[A-Z_]+=.*", argv[0]):
+        name, value = argv[0].split("=", 1)
+        assigned[name] = value
+        argv = argv[1:]
     done = subprocess.run([sys.executable, "-m", "casimir_plates.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_src_env(**assigned), capture_output=True,
+                          text=True, timeout=60)
     assert done.returncode == code
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1, done.stderr
@@ -410,8 +477,13 @@ _argvs = st.one_of(
 )
 
 
+#: n_max below 1, which once printed an empty table with exit 0
+N_MAX_BELOW_ONE_ARGV = [["modes", "--n-max=0"], ["modes", "--n-max=-2"]]
+
+
 def _pin_examples(test):
-    for argv in OUT_OF_RANGE_ARGV + [case[0] for case in NEGATIVE_VALUE_ARGV]:
+    for argv in (OUT_OF_RANGE_ARGV + N_MAX_BELOW_ONE_ARGV
+                 + [case[0] for case in NEGATIVE_VALUE_ARGV]):
         test = example(argv=argv)(test)
     return test
 

@@ -51,6 +51,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModeIndex(1, 1.5, 1)
 
+    @pytest.mark.parametrize("n", [2, np.int32(2), np.int64(2)])
+    def test_mode_index_accepts_integers(self, n):
+        assert ModeIndex(1, n, 1).n_y == 2
+
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 1.0, np.float64(1)])
+    def test_mode_index_rejects_bools_and_floats(self, n):
+        with pytest.raises(ValueError) as info:
+            ModeIndex(1, n, 1)
+        assert str(info.value) == f"n_y must be an integer, got {n!r}"
+
     @pytest.mark.parametrize("a,L", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
                                      (math.nan, 1.0)])
     def test_geometry_rejects_bad_lengths(self, a, L):

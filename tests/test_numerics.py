@@ -109,6 +109,11 @@ class TestIntegrateSemiInfinite:
         assert np.all(np.abs(res.value - exact)[normal]
                       <= 1e-11 * exact[normal])
 
+    def test_float_constants_match_finfo(self):
+        # taken from sys.float_info, so that numerics imports without numpy
+        assert numerics._DE_ROUNDING == 4 * np.finfo(float).eps
+        assert numerics._DE_FLOOR == np.finfo(float).tiny
+
     def test_block_rows_match_single_rows(self):
         betas = [0.01, 0.3, 2.0, 25.0]
         block = self._sqrt_kernel_block(betas, 1e-11)

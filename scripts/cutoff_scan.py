@@ -32,7 +32,7 @@ def main() -> None:
 
     a = args.a
     finite = regsum.casimir_closed_form(a, NATURAL)
-    pole = regsum.asymptotic_parts(a, NATURAL).divergent_coefficient
+    pole, _ = regsum.asymptotic_parts(a, NATURAL)
 
     print(f"# a = {a:g}, finite part pi^2/(240 a^4) = {finite:.12g}")
     print(f"# pole coefficient (a-independent)     = {pole:.12g}")

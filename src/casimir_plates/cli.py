@@ -61,8 +61,11 @@ def _load_config(path: str | None) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _DEFAULTS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"expected one of {', '.join(_DEFAULTS)}")
+            cfg[key] = value
     return cfg
 
 
@@ -233,7 +236,7 @@ def cmd_extract(args, cfg) -> int:
         "casimir_closed_form": reference,
         "finite_part_rel_error": rel_error,
         "coefficients": list(result.coefficients),
-        "exponents": list(result.exponents),
+        "exponents": list(regsum.BASIS_EXPONENTS),
         "residual_norm": result.residual_norm,
         "condition_estimate": result.condition_estimate,
     }

@@ -207,17 +207,15 @@ def _electric_field(tx, ty, tz, amp: ModeAmplitudes) -> np.ndarray:
 
 
 def _magnetic_field(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes,
-                    omega: float) -> np.ndarray:
+                    units: UnitSystem) -> np.ndarray:
     """curl(E)/omega from broadcastable phase arrays; see _electric_field."""
     import numpy as np
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
     sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
     cx, cy, cz = _cospi(tx), _cospi(ty), _cospi(tz)
     b_x = (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz
     b_y = -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz
     b_z = (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz
-    return np.stack([b_x, b_y, b_z], axis=-1) / omega
+    return np.stack([b_x, b_y, b_z], axis=-1) / units.omega(wv.k)
 
 
 def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
@@ -239,21 +237,22 @@ def electric_mode_on_grid(x, y, z, wv: WaveVector,
 
 
 def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
-                     omega: float) -> np.ndarray:
+                     units: UnitSystem) -> np.ndarray:
     """Magnetic amplitude profile curl(E)/omega at one point or a batch.
 
-    The normal component B_z is exactly 0.0 on both plates.  See the module
-    docstring for the dropped quarter-period phase.
+    omega = units.omega(k) is the mode's frequency.  The normal component
+    B_z is exactly 0.0 on both plates.  See the module docstring for the
+    dropped quarter-period phase.
     """
     import numpy as np
     p = np.asarray(point, dtype=float)
-    return _magnetic_field(*wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, omega)
+    return _magnetic_field(*wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, units)
 
 
 def magnetic_mode_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes,
-                          omega: float) -> np.ndarray:
+                          units: UnitSystem) -> np.ndarray:
     """Magnetic amplitude profile on a grid; see electric_mode_on_grid."""
-    return _magnetic_field(*wv.phases(x, y, z), wv, amp, omega)
+    return _magnetic_field(*wv.phases(x, y, z), wv, amp, units)
 
 
 def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:

@@ -2,7 +2,8 @@
 
 Every routine here is deterministic (same inputs give bit-identical outputs)
 and reports an explicit error measure, either in its result type or in the
-exception it raises.  The only state kept is a cache of Gauss-Legendre nodes.
+exception it raises.  The only state kept is the read-only quadrature nodes,
+cached per exp-sinh level and per Gauss-Legendre order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "TailBoundError",
     "IllConditionedFitError",
     "QuadratureResult",
-    "FitResult",
     "check_positive_finite",
     "integrate_semi_infinite",
     "sum_until_tail_bound",
@@ -89,13 +89,6 @@ class QuadratureResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class FitResult:
-    coefficients: np.ndarray
-    residual_norm: float
-    condition_estimate: float
-
-
 #: Exp-sinh rule: trapezoid nodes t = k h on |t| <= _DE_T_MAX, starting from
 #: step _DE_H0.  At |t| = 4 the map below reaches x = s exp(+-42.9), so the
 #: dropped ends lie at x/s ~ 2e-19 and ~4e18.
@@ -150,7 +143,8 @@ def integrate_semi_infinite(
     (the integral itself when f keeps one sign) or by the smallest normal
     float, whichever is larger, so the relative test holds for integrals
     above tiny / tol and integrals in the subnormal range still converge;
-    at most ``limit`` levels are computed.  ``scale`` (s) should sit near where f carries its mass.
+    at most ``limit`` levels are computed.  ``scale`` (s) should sit near
+    where f carries its mass.
 
     ``integrand(x, *params)`` returns f elementwise.  With a scalar
     ``scale`` the abscissae x have shape (k,) and ``params`` are passed
@@ -167,9 +161,9 @@ def integrate_semi_infinite(
     The error estimate of a row is the difference between its last two
     levels, which bounds the error of the finer one while the rule
     converges, plus the truncated end terms at |t| = 4, a rounding
-    allowance and the smallest normal float.  Raises QuadratureError, carrying the last values and
-    estimates, if a row does not converge within ``limit`` levels or its
-    end terms exceed the tolerance.
+    allowance and the smallest normal float.  Raises QuadratureError,
+    carrying the last values and estimates, if a row does not converge
+    within ``limit`` levels or its end terms exceed the tolerance.
     """
     import numpy as np
     check_positive_finite("tol", tol)
@@ -273,7 +267,8 @@ def sum_until_tail_bound(
 
     Raises FloatingPointError (an ArithmeticError) at the first block that
     holds a non-finite term, and TailBoundError (carrying the partial sum
-    and last bound) if ``max_terms`` terms never satisfy the criterion.
+    and the bound after ``max_terms`` terms) once a block shows that
+    ``max_terms`` terms cannot satisfy the criterion, without summing them.
     """
     import numpy as np
     check_positive_finite("tol", tol)
@@ -292,11 +287,16 @@ def sum_until_tail_bound(
         if met.size:
             return float(partial[met[0]])
         total = float(partial[-1])
-        if ns[-1] >= max_terms:
+        # |full sum| <= |total| + bounds[-1], so a stop needs tail_bound(n)
+        # <= tol * (|total| + bounds[-1]) for some n <= max_terms; twice
+        # that at max_terms allows for rounding and errors in the terms
+        budget = float(tail_bound(np.array([max_terms]))[0])
+        if (ns[-1] >= max_terms
+                or budget > 2.0 * tol * (abs(total) + float(bounds[-1]))):
             raise TailBoundError(
-                f"tail bound {bounds[-1]:.3e} still above tol*|sum| after "
+                f"tail bound {budget:.3e} still above tol*|sum| after "
                 f"{max_terms} terms",
-                partial_sum=total, bound=float(bounds[-1]))
+                partial_sum=total, bound=budget)
         ns = np.arange(ns[-1] + 1, min(ns[-1] + _MAX_BLOCK, max_terms) + 1)
         bounds = tail_bound(ns)
         met = np.flatnonzero(bounds <= tol * abs(total))
@@ -309,8 +309,12 @@ _COND_MAX = 1e6
 
 
 def fit_linear_basis(samples: Iterable[tuple[float, float]],
-                     basis_exponents: Sequence[float]) -> FitResult:
+                     basis_exponents: Sequence[float]
+                     ) -> tuple[np.ndarray, float, float]:
     """Least-squares fit of y ~ sum_i c_i * x**e_i over (x, y) samples.
+
+    Returns (coefficients, residual_norm, condition_estimate): the array of
+    c_i, the 2-norm of the residuals and the equilibrated condition number.
 
     The design matrix is column-equilibrated (each column scaled to unit
     norm) before the SVD solve, so the reported condition number measures
@@ -354,9 +358,7 @@ def fit_linear_basis(samples: Iterable[tuple[float, float]],
             f"condition estimate {cond:.3e} exceeds limit {_COND_MAX:.3e}",
             condition_estimate=cond)
     coefficients = coeffs_scaled / scale
-    residual_norm = float(np.linalg.norm(y - design @ coefficients))
-    return FitResult(coefficients=coefficients, residual_norm=residual_norm,
-                     condition_estimate=cond)
+    return coefficients, float(np.linalg.norm(y - design @ coefficients)), cond
 
 
 def jacobian_fd(

@@ -48,13 +48,12 @@ if TYPE_CHECKING:
 __all__ = [
     "Regulator",
     "RegularizedForce",
-    "SeriesTerm",
-    "AsymptoticParts",
     "ExtractedForce",
     "PrecisionLossError",
     "ROUTES",
     "BASIS_EXPONENTS",
     "bernoulli_numbers",
+    "series_coefficients",
     "per_n_term",
     "force_sum_numeric",
     "force_per_n_sum",
@@ -126,44 +125,15 @@ class RegularizedForce:
 
 
 @dataclass(frozen=True)
-class SeriesTerm:
-    """One term of the asymptotic expansion of F(a, lambda).
-
-    The order-h term equals coefficient * hbar c * pi^(h-2) * a^-h *
-    lam^(h-4); ``value`` is that number, ``coefficient`` the exact rational
-    -(1/2) (B_h / h!) (-1)^h (h-1)(h-2).
-    """
-
-    h: int
-    coefficient: Fraction
-    value: float
-
-    @property
-    def lambda_power(self) -> int:
-        return self.h - 4
-
-
-@dataclass(frozen=True)
-class AsymptoticParts:
-    """Small-lambda split of the regularized force per unit area.
-
-    ``divergent_coefficient`` multiplies lam**-4 and is independent of the
-    plate separation; ``finite_part`` is the lambda-independent piece
-    pi^2 hbar c / (240 a^4), whose magnitude is the Casimir pressure.
-    """
-
-    divergent_coefficient: float
-    finite_part: float
-
-
-@dataclass(frozen=True)
 class ExtractedForce:
-    """Finite part recovered from force samples by a least-squares fit."""
+    """Finite part recovered from force samples by a least-squares fit.
+
+    ``coefficients`` multiply lam**e for e in BASIS_EXPONENTS, in order.
+    """
 
     divergent_coefficient: float
     finite_part: float
     coefficients: tuple[float, ...]
-    exponents: tuple[float, ...]
     residual_norm: float
     condition_estimate: float
 
@@ -177,12 +147,6 @@ def bernoulli_numbers(h_max: int) -> tuple[Fraction, ...]:
     """
     if h_max < 4:
         raise ValueError("h_max must be at least 4")
-    return _bernoulli_values(h_max)
-
-
-@functools.lru_cache(maxsize=32)
-def _bernoulli_values(h_max: int) -> tuple[Fraction, ...]:
-    """B_0..B_h_max, computed once per h_max (the table is immutable)."""
     values = [Fraction(1)]
     for m in range(1, h_max + 1):
         acc = Fraction(0)
@@ -190,6 +154,29 @@ def _bernoulli_values(h_max: int) -> tuple[Fraction, ...]:
             acc += math.comb(m + 1, j) * values[j]
         values.append(-acc / (m + 1))
     return tuple(values)
+
+
+def series_coefficients(h_max: int) -> dict[int, Fraction]:
+    """Exact coefficients of the non-vanishing series orders h <= h_max.
+
+    The order-h coefficient is -(1/2) (B_h / h!) (-1)^h (h-1)(h-2); see
+    series_terms.  Returns a new dict {h: Fraction}, h increasing, built
+    from a table computed once per h_max (h_max >= 4).
+    """
+    return dict(_series_table(h_max))
+
+
+@functools.lru_cache(maxsize=8)
+def _series_table(h_max: int) -> tuple[tuple[int, Fraction], ...]:
+    bernoulli = bernoulli_numbers(h_max)
+    table = []
+    for h in range(h_max + 1):
+        sign = -1 if h % 2 else 1
+        coeff = (Fraction(-sign * (h - 1) * (h - 2), 2) * bernoulli[h]
+                 / math.factorial(h))
+        if coeff != 0:
+            table.append((h, coeff))
+    return tuple(table)
 
 
 def _prefactor(a: float, units: UnitSystem) -> float:
@@ -245,6 +232,11 @@ def _tail_bound_factory(a: float, lam: float, units: UnitSystem):
     return bound
 
 
+#: Term budgets of the two n-sum routes.  At their default tol they reach
+#: down to lambda pi / a of about 0.0075 (numeric) and 2e-4 (per-n).
+_NUMERIC_N_MAX = 4000
+_PER_N_N_MAX = 200_000
+
 #: Smallest tol force_sum_numeric accepts.  The radial integrals run at
 #: tol / 10, and below 1e-16 that is less than half an ulp (1.1e-16): two
 #: quadrature levels of R_n then meet it only when they agree bit for bit,
@@ -280,7 +272,7 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
 
 
 def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
-                      *, tol: float = 1e-10, n_max: int = 4000) -> float:
+                      *, tol: float = 1e-10) -> float:
     """Regularized force per unit area by numerical n-sum and quadrature.
 
     Each radial integral is evaluated by double-exponential quadrature at a
@@ -291,8 +283,8 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     route.
 
     Raises ValueError for a tol below 1e-15 (_MIN_NUMERIC_TOL), which the
-    quadrature cannot meet, TailBoundError if n_max terms never meet the
-    bound (lambda too small for the given n_max), QuadratureError if an
+    quadrature cannot meet, TailBoundError if 4000 terms (_NUMERIC_N_MAX)
+    cannot meet the bound (lambda too small), QuadratureError if an
     integral fails and FloatingPointError if a term is not finite.
     """
     import numpy as np
@@ -312,11 +304,11 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
             return pref * ns * ns * _radial_integrals(a, lam, ns, 0.1 * tol)
 
     return sum_until_tail_bound(terms, _tail_bound_factory(a, lam, units),
-                                tol, max_terms=n_max)
+                                tol, max_terms=_NUMERIC_N_MAX)
 
 
 def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
-                    *, tol: float = 1e-12, n_max: int = 200_000) -> float:
+                    *, tol: float = 1e-12) -> float:
     """Regularized force per unit area by summing the exact per-n terms."""
     import numpy as np
     check_positive_finite("a", a)
@@ -326,7 +318,7 @@ def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
         return np.array([per_n_term(a, reg, n, units) for n in ns.tolist()])
 
     return sum_until_tail_bound(terms, _tail_bound_factory(a, lam, units),
-                                tol, max_terms=n_max)
+                                tol, max_terms=_PER_N_N_MAX)
 
 
 def force_closed_form(a: float, reg: Regulator,
@@ -355,20 +347,12 @@ def force_closed_form(a: float, reg: Regulator,
     return (_prefactor(a, units) / lam) * q * (1.0 + q) / one_minus_q**3
 
 
-def _series_coefficient(h: int, table: tuple[Fraction, ...]) -> Fraction:
-    """Exact rational coefficient -(1/2) (B_h / h!) (-1)^h (h-1)(h-2)."""
-    sign = -1 if h % 2 else 1
-    return Fraction(-sign * (h - 1) * (h - 2), 2) * table[h] / math.factorial(h)
-
-
-def _check_series_order(h_max: int) -> None:
-    if h_max < 5:
-        raise ValueError("h_max must be at least 5 to reach past the "
-                         "finite part")
+#: Truncation order of series_value; order 10 gives its estimate.
+_SERIES_H_MAX = 8
 
 
 def series_terms(a: float, reg: Regulator, h_max: int,
-                 units: UnitSystem = NATURAL) -> list[SeriesTerm]:
+                 units: UnitSystem = NATURAL) -> dict[int, float]:
     """Terms of the asymptotic expansion of F(a, lambda) through order h_max.
 
     Expanding q (1+q) / (1-q)^3 = sum_h B_h (-x)^h (h-1)(h-2) / (2 h!) in
@@ -378,55 +362,47 @@ def series_terms(a: float, reg: Regulator, h_max: int,
                  * hbar c * pi^(h-2) * a^-h * lam^(h-4).
 
     h = 1 and h = 2 vanish through the (h-1)(h-2) factor and odd h >= 3
-    through B_h; vanishing terms are omitted from the returned list.  The
-    expansion is asymptotic in lam, so h_max is a truncation order, not a
-    convergence knob.
+    through B_h; the returned {h: term_h} holds the other orders, h
+    increasing.  The expansion is asymptotic in lam, so h_max (at least 5,
+    past the finite part) is a truncation order, not a convergence knob.
     """
     check_positive_finite("a", a)
-    _check_series_order(h_max)
-    table = bernoulli_numbers(h_max)
+    if h_max < 5:
+        raise ValueError("h_max must be at least 5 to reach past the "
+                         "finite part")
     lam = reg.lam
-    terms = []
-    for h in range(h_max + 1):
-        coeff = _series_coefficient(h, table)
-        if coeff == 0:
-            continue
-        value = (float(coeff) * units.hbar_c * math.pi ** (h - 2)
-                 * a ** (-h) * lam ** (h - 4))
-        terms.append(SeriesTerm(h=h, coefficient=coeff, value=value))
-    return terms
+    return {h: (float(coeff) * units.hbar_c * math.pi ** (h - 2)
+                * a ** (-h) * lam ** (h - 4))
+            for h, coeff in _series_table(h_max)}
 
 
-def series_value(a: float, reg: Regulator, units: UnitSystem = NATURAL,
-                 *, h_max: int = 8) -> tuple[float, float]:
-    """Truncated asymptotic series for F(a, lambda) and a truncation estimate.
+def series_value(a: float, reg: Regulator,
+                 units: UnitSystem = NATURAL) -> tuple[float, float]:
+    """Asymptotic series for F(a, lambda) through order 8, with an estimate.
 
     Returns (value, estimate) where the estimate is the magnitude of the
-    first omitted nonvanishing term, the usual heuristic for an asymptotic
-    series.
+    first omitted term, order 10 (order 9 vanishes), the usual heuristic
+    for an asymptotic series.
     """
-    _check_series_order(h_max)
-    terms = series_terms(a, reg, h_max + 2, units)
-    total = sum(t.value for t in terms if t.h <= h_max)
-    next_terms = [t for t in terms if t.h > h_max]
-    estimate = abs(next_terms[0].value) if next_terms else 0.0
-    return total, estimate
+    terms = series_terms(a, reg, _SERIES_H_MAX + 2, units)
+    estimate = abs(terms.pop(_SERIES_H_MAX + 2))
+    return sum(terms.values()), estimate
 
 
-def asymptotic_parts(a: float, units: UnitSystem = NATURAL) -> AsymptoticParts:
-    """Divergent coefficient and finite part of F(a, lambda) as lambda -> 0.
+def asymptotic_parts(a: float,
+                     units: UnitSystem = NATURAL) -> tuple[float, float]:
+    """(divergent_coefficient, finite_part) of F(a, lambda) as lambda -> 0.
 
     The h = 0 series term gives divergent_coefficient = -hbar c / pi^2,
-    carrying no dependence on the plate separation, which is what marks the
-    divergence as a regularization artifact rather than a force.  The h = 4
-    term gives finite_part = + hbar c pi^2 / (240 a^4).
+    the coefficient of lam**-4, carrying no dependence on the plate
+    separation, which is what marks the divergence as a regularization
+    artifact rather than a force.  The h = 4 term gives finite_part =
+    + hbar c pi^2 / (240 a^4), whose magnitude is the Casimir pressure.
     """
     check_positive_finite("a", a)
-    table = bernoulli_numbers(4)
-    div = float(_series_coefficient(0, table)) * units.hbar_c / math.pi**2
-    fin = (float(_series_coefficient(4, table)) * units.hbar_c
-           * math.pi**2 / a**4)
-    return AsymptoticParts(divergent_coefficient=div, finite_part=fin)
+    coeffs = series_coefficients(4)
+    return (float(coeffs[0]) * units.hbar_c / math.pi**2,
+            float(coeffs[4]) * units.hbar_c * math.pi**2 / a**4)
 
 
 def casimir_closed_form(a: float, units: UnitSystem = NATURAL) -> float:
@@ -494,15 +470,14 @@ def extract_finite_part(a: float,
             "the double range")
     samples = [(lam, force_closed_form(a, Regulator(lam), units))
                for lam in lams]
-    fit = fit_linear_basis(samples, BASIS_EXPONENTS)
-    c = fit.coefficients
+    c, residual_norm, condition_estimate = fit_linear_basis(samples,
+                                                            BASIS_EXPONENTS)
     return ExtractedForce(
         divergent_coefficient=float(c[0]),
         finite_part=float(c[1]),
         coefficients=tuple(float(v) for v in c),
-        exponents=BASIS_EXPONENTS,
-        residual_norm=fit.residual_norm,
-        condition_estimate=fit.condition_estimate,
+        residual_norm=residual_norm,
+        condition_estimate=condition_estimate,
     )
 
 
@@ -527,9 +502,8 @@ def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,
             total, estimate = series_value(a, reg, units)
         else:
             raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-        parts = asymptotic_parts(a, units)
         force = RegularizedForce(route, reg.lam, total, estimate,
-                                 parts.divergent_coefficient, parts.finite_part)
+                                 *asymptotic_parts(a, units))
         # the remainder is non-finite whenever total, divergent_part or
         # finite_part is
         if math.isfinite(force.remainder) and math.isfinite(estimate):

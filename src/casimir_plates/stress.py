@@ -92,12 +92,11 @@ def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
         raise ValueError(f"plate must be 'bottom' or 'top', got {plate!r}")
     wv = wave_vector(mode, geom)
     amp = mode_amplitudes(mode, geom, units, polarization_angle)
-    omega = units.omega(wv.k)
     z_plane = 0.0 if plate == "bottom" else geom.a
 
     def plane_zz(xs, ys):
         e = electric_mode_on_grid(xs, ys, z_plane, wv, amp)
-        b = magnetic_mode_on_grid(xs, ys, z_plane, wv, amp, omega)
+        b = magnetic_mode_on_grid(xs, ys, z_plane, wv, amp, units)
         return stress_tensor(e, b, units)[..., 2, 2]
 
     return mean_over_rectangle(plane_zz, geom.L, geom.L, tol).value

@@ -47,8 +47,8 @@ class TestForce:
         row = doc["row"]
         assert row["force_per_area"] == regsum.force_closed_form(
             1.0, regsum.Regulator(0.1))
-        parts = regsum.asymptotic_parts(1.0)
-        assert row["finite_part"] == parts.finite_part
+        _, finite_part = regsum.asymptotic_parts(1.0)
+        assert row["finite_part"] == finite_part
         assert row["remainder"] == pytest.approx(
             row["force_per_area"] - row["divergent_part"] - row["finite_part"])
 
@@ -271,6 +271,18 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "key = value" in err
+
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        # a misspelt key was once ignored, so the output silently used the
+        # default units
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# units\nunit = si\n")
+        code, out, err = run_cli(capsys, "force", "--a", "1", "--lambda",
+                                 "0.1", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == (f"casimir: {cfg}:2: unknown key 'unit'; expected one "
+                       "of units, tol, sweep_a, sweep_lambda, sweep_routes\n")
 
 
 def _src_env(**extra):

@@ -26,6 +26,7 @@ from casimir_plates.regsum import (
     force_per_n_sum,
     force_sum_numeric,
     per_n_term,
+    series_coefficients,
     series_terms,
     series_value,
 )
@@ -195,29 +196,42 @@ class TestNumericSum:
             pass
 
     def test_tail_bound_exhaustion(self):
-        # at lambda pi / a = 0.05 the sum needs several hundred terms
+        # at lambda pi / a = 0.006 the sum needs more than its 4000 terms
         with pytest.raises(TailBoundError) as info:
-            force_sum_numeric(1.0, Regulator(0.05 / math.pi), NATURAL,
-                              n_max=50)
+            force_sum_numeric(1.0, Regulator(0.006 / math.pi), NATURAL)
         assert info.value.bound > 0.0
         assert info.value.partial_sum < 0.0
+
+    def test_unreachable_tolerance_fails_after_first_block(self, monkeypatch):
+        # the bound after 4000 terms already exceeds tol * |sum| once the
+        # first 64 terms are in, so none of the others is integrated
+        integrated = []
+        radial = regsum._radial_integrals
+
+        def counting_radial(a, lam, ns, tol):
+            integrated.append(np.size(ns))
+            return radial(a, lam, ns, tol)
+
+        monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
+        with pytest.raises(TailBoundError, match="after 4000 terms"):
+            force_sum_numeric(1.0, Regulator(0.006 / math.pi), NATURAL)
+        assert sum(integrated) <= 64
 
 
 class TestSeries:
     def test_surviving_orders(self):
-        terms = series_terms(1.0, Regulator(0.1), 8)
-        assert [t.h for t in terms] == [0, 4, 6, 8]
-        assert [t.lambda_power for t in terms] == [-4, 0, 2, 4]
+        assert list(series_terms(1.0, Regulator(0.1), 8)) == [0, 4, 6, 8]
+        assert list(series_coefficients(8)) == [0, 4, 6, 8]
 
     def test_exact_coefficients(self):
-        terms = {t.h: t.coefficient for t in series_terms(1.0, Regulator(0.1), 8)}
+        terms = series_coefficients(8)
         assert terms[0] == Fraction(-1)
         assert terms[4] == Fraction(1, 240)
         assert terms[6] == Fraction(-1, 3024)
         assert terms[8] == Fraction(1, 57600)
 
     def test_finite_term_value(self):
-        terms = {t.h: t.value for t in series_terms(1.0, Regulator(0.1), 8)}
+        terms = series_terms(1.0, Regulator(0.1), 8)
         assert terms[4] == pytest.approx(0.041123351671205656, rel=1e-15)
         assert terms[0] == pytest.approx(-1.0 / (math.pi**2 * 0.1**4),
                                          rel=1e-15)
@@ -226,11 +240,15 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_terms(1.0, Regulator(0.1), 4)
         with pytest.raises(ValueError):
-            series_value(1.0, Regulator(0.1), NATURAL, h_max=4)
+            series_coefficients(3)
+
+    def test_coefficients_are_fresh_dicts(self):
+        series_coefficients(8)[4] = Fraction(0)
+        assert series_coefficients(8)[4] == Fraction(1, 240)
 
     def test_series_approximates_closed_form(self):
         a, reg = 1.0, Regulator(0.05 / math.pi)
-        total, estimate = series_value(a, reg, NATURAL, h_max=8)
+        total, estimate = series_value(a, reg, NATURAL)
         closed = force_closed_form(a, reg, NATURAL)
         assert total == pytest.approx(closed, rel=1e-9)
         assert 0.0 < estimate < 1e-6 * abs(closed)
@@ -238,25 +256,24 @@ class TestSeries:
 
 class TestAsymptoticParts:
     def test_frozen_values(self):
-        parts = asymptotic_parts(1.0)
-        assert parts.divergent_coefficient == pytest.approx(
+        divergent_coefficient, finite_part = asymptotic_parts(1.0)
+        assert divergent_coefficient == pytest.approx(
             -0.10132118364233778, rel=1e-15)
-        assert parts.finite_part == pytest.approx(0.041123351671205656,
-                                                  rel=1e-15)
+        assert finite_part == pytest.approx(0.041123351671205656,
+                                            rel=1e-15)
 
     def test_divergent_coefficient_ignores_separation(self):
-        assert (asymptotic_parts(0.5).divergent_coefficient
-                == asymptotic_parts(2.0).divergent_coefficient)
+        assert asymptotic_parts(0.5)[0] == asymptotic_parts(2.0)[0]
 
     def test_finite_part_quartic_scaling(self):
-        assert asymptotic_parts(2.0).finite_part == pytest.approx(
-            asymptotic_parts(1.0).finite_part / 16.0, rel=1e-14)
+        assert asymptotic_parts(2.0)[1] == pytest.approx(
+            asymptotic_parts(1.0)[1] / 16.0, rel=1e-14)
 
     def test_casimir_closed_form(self):
         assert casimir_closed_form(1.0) == pytest.approx(
             math.pi**2 / 240.0, rel=1e-15)
         assert casimir_closed_form(1.0) == pytest.approx(
-            asymptotic_parts(1.0).finite_part, rel=1e-15)
+            asymptotic_parts(1.0)[1], rel=1e-15)
 
     def test_si_micrometre_pressure(self):
         got = casimir_closed_form(1e-6, SI)
@@ -268,10 +285,10 @@ class TestExtraction:
         grid = [Regulator(r / math.pi) for r in (0.05, 0.08, 0.12, 0.2, 0.3, 0.5)]
         result = extract_finite_part(1.0, grid)
         want_finite = casimir_closed_form(1.0)
-        want_div = asymptotic_parts(1.0).divergent_coefficient
+        want_div, _ = asymptotic_parts(1.0)
         assert abs(result.finite_part - want_finite) / want_finite <= 1e-4
         assert abs(result.divergent_coefficient - want_div) / abs(want_div) <= 1e-6
-        assert result.exponents == BASIS_EXPONENTS
+        assert len(result.coefficients) == len(BASIS_EXPONENTS)
         assert result.condition_estimate < 1e4
 
     def test_accepts_plain_floats(self):
@@ -328,7 +345,7 @@ class TestRoutesAndDecomposition:
     def test_remainder_is_second_order_in_cutoff(self, a, ratio):
         reg = Regulator(ratio * a / math.pi)
         dec = decompose(a, reg)
-        allowance = {t.h: t.value for t in series_terms(a, reg, 6)}[6]
+        allowance = series_terms(a, reg, 6)[6]
         assert abs(dec.remainder) <= 2.0 * abs(allowance)
 
 

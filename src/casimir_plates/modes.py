@@ -20,6 +20,12 @@ with sin(pi t) evaluated after subtracting the nearest integer.  Where the
 physics says a field component vanishes on a plate, the evaluator then
 returns exactly 0.0 rather than sin(n pi) of order machine epsilon, which
 keeps boundary statements in downstream checks exact.
+
+electric_square_on_grid and magnetic_square_on_grid return |E|^2 and |B|^2
+on a grid without building the stacked (..., 3) field.  They square the
+components in place and add them x + y + z, so their values are bit for
+bit np.sum(electric_mode_on_grid(...)**2, axis=-1) and its magnetic
+counterpart.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ __all__ = [
     "electric_mode_on_grid",
     "magnetic_mode_at",
     "magnetic_mode_on_grid",
+    "electric_square_on_grid",
+    "magnetic_square_on_grid",
     "transversality_residual",
     "divergence_residual",
     "amplitude_norm_squared",
@@ -61,18 +69,28 @@ class TransversalityError(ValueError):
 
 
 def _sinpi(t):
-    """sin(pi * t) with exact zeros at integer t."""
+    """sin(pi * t) with exact zeros at integer t; the parity is taken in
+    floating point, so no t (huge or NaN) is cast to an integer."""
     import numpy as np
     t = np.asarray(t, dtype=float)
     nearest = np.round(t)
-    sign = np.where(nearest.astype(np.int64) % 2 == 0, 1.0, -1.0)
+    sign = np.where(np.remainder(nearest, 2.0) == 0.0, 1.0, -1.0)
     return sign * np.sin(np.pi * (t - nearest))
 
 
-def _cospi(t):
-    """cos(pi * t) with exact zeros at half-integer t."""
+def _sin_cos_pi(tx, ty, tz):
+    """sin(pi t) of each phase array, then cos(pi t) = sin(pi (1/2 - t)),
+    which is exactly 0.0 at half-integer t.  One _sinpi pass over all six;
+    it acts elementwise, so each value is what a separate call gives."""
     import numpy as np
-    return _sinpi(0.5 - np.asarray(t, dtype=float))
+    ts = [np.asarray(t, dtype=float) for t in (tx, ty, tz)]
+    flat = np.concatenate([t.ravel() for t in ts])
+    values = _sinpi(np.concatenate((flat, 0.5 - flat)))
+    out, start = [], 0
+    for t in ts + ts:
+        out.append(values[start:start + t.size].reshape(t.shape))
+        start += t.size
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,36 +204,45 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     returned vector satisfies A . k = 0 identically and |A|^2 equals
     amplitude_norm_squared.
     """
-    import numpy as np
     wv = wave_vector(mode, geom)
     kap, k = wv.kappa, wv.k
-    e1 = np.array([wv.k_y, -wv.k_x, 0.0]) / kap
-    e2 = np.array([wv.k_x * wv.k_z, wv.k_y * wv.k_z, -kap * kap]) / (kap * k)
-    direction = math.cos(polarization_angle) * e1 + math.sin(polarization_angle) * e2
-    amp = math.sqrt(amplitude_norm_squared(mode, geom, units)) * direction
-    return ModeAmplitudes(a_x=float(amp[0]), a_y=float(amp[1]), a_z=float(amp[2]))
+    e1 = (wv.k_y / kap, -wv.k_x / kap, 0.0)
+    e2 = (wv.k_x * wv.k_z / (kap * k), wv.k_y * wv.k_z / (kap * k),
+          -kap * kap / (kap * k))
+    c, s = math.cos(polarization_angle), math.sin(polarization_angle)
+    norm = math.sqrt(amplitude_norm_squared(mode, geom, units))
+    return ModeAmplitudes(*(norm * (c * u + s * v) for u, v in zip(e1, e2)))
 
 
-def _electric_field(tx, ty, tz, amp: ModeAmplitudes) -> np.ndarray:
-    """E from phase arrays that broadcast; each sin and cos is taken once."""
-    import numpy as np
-    sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
-    cx, cy, cz = _cospi(tx), _cospi(ty), _cospi(tz)
-    return np.stack([amp.a_x * cx * sy * sz,
-                     amp.a_y * sx * cy * sz,
-                     amp.a_z * sx * sy * cz], axis=-1)
+def _electric_components(tx, ty, tz, amp: ModeAmplitudes):
+    """Yield E_x, E_y, E_z from phase arrays that broadcast; each sin and cos
+    is taken once, and each component has the full broadcast shape."""
+    sx, sy, sz, cx, cy, cz = _sin_cos_pi(tx, ty, tz)
+    yield amp.a_x * cx * sy * sz
+    yield amp.a_y * sx * cy * sz
+    yield amp.a_z * sx * sy * cz
 
 
-def _magnetic_field(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes,
-                    units: UnitSystem) -> np.ndarray:
-    """curl(E)/omega from broadcastable phase arrays; see _electric_field."""
-    import numpy as np
-    sx, sy, sz = _sinpi(tx), _sinpi(ty), _sinpi(tz)
-    cx, cy, cz = _cospi(tx), _cospi(ty), _cospi(tz)
-    b_x = (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz
-    b_y = -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz
-    b_z = (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz
-    return np.stack([b_x, b_y, b_z], axis=-1) / units.omega(wv.k)
+def _magnetic_components(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes,
+                         units: UnitSystem):
+    """Yield B_x, B_y, B_z of curl(E)/omega; see _electric_components."""
+    sx, sy, sz, cx, cy, cz = _sin_cos_pi(tx, ty, tz)
+    omega = units.omega(wv.k)
+    yield (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz / omega
+    yield -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz / omega
+    yield (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz / omega
+
+
+def _square_sum(components) -> np.ndarray:
+    """x^2 + y^2 + z^2 in the first buffer, squared in place and added in
+    the order of np.sum(stacked**2, axis=-1); two buffers at a time."""
+    total = next(components)
+    total *= total
+    for c in components:
+        c *= c
+        total += c
+        del c
+    return total
 
 
 def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
@@ -227,13 +254,23 @@ def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     """
     import numpy as np
     p = np.asarray(point, dtype=float)
-    return _electric_field(*wv.phases(*np.moveaxis(p, -1, 0)), amp)
+    return np.stack(tuple(_electric_components(
+        *wv.phases(*np.moveaxis(p, -1, 0)), amp)), axis=-1)
 
 
 def electric_mode_on_grid(x, y, z, wv: WaveVector,
                           amp: ModeAmplitudes) -> np.ndarray:
     """electric_mode_at, bit for bit, on the grid of broadcasting x, y, z."""
-    return _electric_field(*wv.phases(x, y, z), amp)
+    import numpy as np
+    return np.stack(tuple(_electric_components(*wv.phases(x, y, z), amp)),
+                    axis=-1)
+
+
+def electric_square_on_grid(x, y, z, wv: WaveVector,
+                            amp: ModeAmplitudes) -> np.ndarray:
+    """|E|^2 on the grid, bit for bit np.sum(electric_mode_on_grid(...)**2,
+    axis=-1), without the stacked (..., 3) field."""
+    return _square_sum(_electric_components(*wv.phases(x, y, z), amp))
 
 
 def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
@@ -246,13 +283,22 @@ def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
     """
     import numpy as np
     p = np.asarray(point, dtype=float)
-    return _magnetic_field(*wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, units)
+    return np.stack(tuple(_magnetic_components(
+        *wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, units)), axis=-1)
 
 
 def magnetic_mode_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes,
                           units: UnitSystem) -> np.ndarray:
     """Magnetic amplitude profile on a grid; see electric_mode_on_grid."""
-    return _magnetic_field(*wv.phases(x, y, z), wv, amp, units)
+    import numpy as np
+    return np.stack(tuple(_magnetic_components(*wv.phases(x, y, z), wv, amp,
+                                               units)), axis=-1)
+
+
+def magnetic_square_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes,
+                            units: UnitSystem) -> np.ndarray:
+    """|B|^2 on the grid; see electric_square_on_grid."""
+    return _square_sum(_magnetic_components(*wv.phases(x, y, z), wv, amp, units))
 
 
 def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:

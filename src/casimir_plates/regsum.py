@@ -266,6 +266,11 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     big_m = ns[:, None] * math.pi / a
     beta = lam * big_m
     scale = 1.0 / beta**2 + 2.0 / beta
+    if not np.isfinite(scale).all():
+        # every abscissa would be inf and every node NaN
+        raise PrecisionLossError(
+            f"lambda*pi/a = {lam * math.pi / a:.3e}: the exp-sinh scale "
+            "1/beta^2 of the numeric_sum radial integrals overflows")
     kernel = integrate_semi_infinite(integrand, tol, scale=scale,
                                      params=(beta,))
     return 0.5 * big_m[:, 0] * kernel.value
@@ -283,9 +288,12 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     route.
 
     Raises ValueError for a tol below 1e-15 (_MIN_NUMERIC_TOL), which the
-    quadrature cannot meet, TailBoundError if 4000 terms (_NUMERIC_N_MAX)
-    cannot meet the bound (lambda too small), QuadratureError if an
-    integral fails and FloatingPointError if a term is not finite.
+    quadrature cannot meet, PrecisionLossError before any integral when
+    lambda pi / a is so small (below about 7.5e-155) that a row's
+    quadrature scale overflows, TailBoundError if 4000 terms
+    (_NUMERIC_N_MAX) cannot meet the bound (lambda too small),
+    QuadratureError if an integral fails and FloatingPointError if a term
+    is not finite.
     """
     import numpy as np
     check_positive_finite("a", a)

@@ -15,14 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
 from . import modes, regsum, stress
 from .numerics import jacobian_fd, mean_over_box, mean_over_rectangle
 from .units import NATURAL, UnitSystem
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["CheckResult", "run_all", "PROFILES"]
 
@@ -132,7 +128,6 @@ def check_fd_divergence_rate(units: UnitSystem = NATURAL) -> CheckResult:
 
 def check_bulk_mean_square(units: UnitSystem = NATURAL, scale: float = 1.0) -> CheckResult:
     """Box mean of |E|^2 equals A^2/8 for all modes with n <= 3."""
-    import numpy as np
     worst = 0.0
     for geom in _GEOMS:
         for mode in _mode_grid(3):
@@ -140,20 +135,11 @@ def check_bulk_mean_square(units: UnitSystem = NATURAL, scale: float = 1.0) -> C
             amp = modes.mode_amplitudes(mode, geom, units, 0.6)
             expected = modes.mean_square_E(wv, amp, "bulk")
             got = mean_over_box(
-                lambda *xyz: np.sum(
-                    modes.electric_mode_on_grid(*xyz, wv, amp)**2, axis=-1),
+                lambda *xyz: modes.electric_square_on_grid(*xyz, wv, amp),
                 geom.L, geom.L, geom.a, 1e-11).value
             worst = max(worst, abs(got - expected) / expected)
     return _result("bulk_mean_square_E", worst, 1e-9 * scale,
                    "3-D quadrature vs A^2/8, modes n <= 3")
-
-
-def _plate_mean_square(field: Callable[..., np.ndarray], geom, z: float) -> float:
-    """Mean of |field(x, y, z)|^2 over the plane at height z, to 1e-12."""
-    import numpy as np
-    return mean_over_rectangle(
-        lambda xs, ys: np.sum(field(xs, ys, z)**2, axis=-1),
-        geom.L, geom.L, 1e-12).value
 
 
 def check_boundary_mean_squares(units: UnitSystem = NATURAL,
@@ -165,12 +151,14 @@ def check_boundary_mean_squares(units: UnitSystem = NATURAL,
                      modes.ModeIndex(3, 1, 2)):
             wv = modes.wave_vector(mode, geom)
             amp = modes.mode_amplitudes(mode, geom, units, 0.8)
-            got_e = _plate_mean_square(
-                lambda *xyz: modes.electric_mode_on_grid(*xyz, wv, amp), geom, 0.0)
+            got_e = mean_over_rectangle(
+                lambda xs, ys: modes.electric_square_on_grid(xs, ys, 0.0, wv, amp),
+                geom.L, geom.L, 1e-12).value
             want_e = modes.mean_square_E(wv, amp, "boundary")
-            got_b = _plate_mean_square(
-                lambda *xyz: modes.magnetic_mode_on_grid(*xyz, wv, amp, units),
-                geom, 0.0)
+            got_b = mean_over_rectangle(
+                lambda xs, ys: modes.magnetic_square_on_grid(xs, ys, 0.0, wv, amp,
+                                                             units),
+                geom.L, geom.L, 1e-12).value
             want_b = modes.mean_square_B_boundary(wv, amp, units)
             norm = modes.amplitude_norm_squared(mode, geom, units)
             worst = max(worst, abs(got_e - want_e) / norm,

@@ -389,7 +389,7 @@ def test_out_of_range_exits_2_with_one_line(argv):
 
 
 #: Inputs that once printed numpy RuntimeWarnings, ran the numeric sum to
-#: n_max on NaN terms, named a tol the user never gave, reported a range
+#: n_max on NaN terms or its quadrature through all levels on NaN rows, named a tol the user never gave, reported a range
 #: failure of extract as a rejected fit (exit 1), or named neither the mode
 #: nor the geometry of a modes overflow, each before or in its one-line
 #: error.  A subprocess sees the warnings, which pytest captures
@@ -415,6 +415,9 @@ ONE_LINE_FAILURES = [
       "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
       "--tol=1e-20"], 2, "tol = 1e-20 is below 1e-15"),
+    (["force", "--a", "1", "--lambda", "1e-200", "--route", "numeric_sum"],
+     2, "lambda*pi/a = 3.142e-200: the exp-sinh scale 1/beta^2 of the "
+     "numeric_sum radial integrals overflows"),
     (["modes", "--n-max", "0"], 2, "n_max must be at least 1, got 0"),
     (["modes", "--n-max", "-2"], 2, "n_max must be at least 1, got -2"),
     (["sweep", "--a", "1", "--lambda", "0.1", "--routes", ","], 2,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,16 +16,19 @@ from casimir_plates.modes import (
     divergence_residual,
     electric_mode_at,
     electric_mode_on_grid,
+    electric_square_on_grid,
     magnetic_mode_at,
     magnetic_mode_on_grid,
+    magnetic_square_on_grid,
     mean_square_B_boundary,
     mean_square_E,
     mode_amplitudes,
     transversality_residual,
     wave_vector,
 )
-from casimir_plates.numerics import jacobian_fd
-from casimir_plates.units import NATURAL
+from casimir_plates import modes
+from casimir_plates.numerics import _gl_reference, jacobian_fd
+from casimir_plates.units import NATURAL, SI
 
 geometries = st.builds(
     CavityGeometry,
@@ -192,7 +196,125 @@ class TestFieldEvaluation:
         assert np.all(b[:, :, -2:, 2] == 0.0)
 
 
+class TestSquareEvaluators:
+    """The square evaluators equal the sum over the stacked field's last
+    axis byte for byte, on the Gauss-Legendre grids the mean checks use."""
+
+    MODES = (ModeIndex(1, 1, 1), ModeIndex(2, 3, 1), ModeIndex(3, 1, 2))
+    ANGLES = (0.0, 0.6, 2.3)
+    GEOMS = {NATURAL: (CavityGeometry(a=1.0, L=1.0), CavityGeometry(a=0.7, L=2.0)),
+             SI: (CavityGeometry(a=1e-6, L=2e-6), CavityGeometry(a=0.7, L=2.0))}
+
+    @staticmethod
+    def _nodes(n, length):
+        x, _ = _gl_reference(n)
+        return 0.5 * length * (x + 1.0)
+
+    @staticmethod
+    def _assert_same_bytes(x, y, z, wv, amp, units):
+        e = electric_square_on_grid(x, y, z, wv, amp)
+        want_e = np.sum(electric_mode_on_grid(x, y, z, wv, amp)**2, axis=-1)
+        b = magnetic_square_on_grid(x, y, z, wv, amp, units)
+        want_b = np.sum(magnetic_mode_on_grid(x, y, z, wv, amp, units)**2,
+                        axis=-1)
+        assert e.shape == want_e.shape and e.tobytes() == want_e.tobytes()
+        assert b.shape == want_b.shape and b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
+    def test_box_grids(self, units):
+        for geom in self.GEOMS[units]:
+            for mode in self.MODES:
+                wv = wave_vector(mode, geom)
+                for angle in self.ANGLES:
+                    amp = mode_amplitudes(mode, geom, units, angle)
+                    for n in (8, 16, 32):
+                        x, y, z = np.ix_(self._nodes(n, geom.L),
+                                         self._nodes(n, geom.L),
+                                         self._nodes(n, geom.a))
+                        self._assert_same_bytes(x, y, z, wv, amp, units)
+        # the two finest box levels, one geometry each
+        for geom, mode, n in zip(self.GEOMS[units], self.MODES[1:], (128, 64)):
+            amp = mode_amplitudes(mode, geom, units, 0.6)
+            x, y, z = np.ix_(self._nodes(n, geom.L), self._nodes(n, geom.L),
+                             self._nodes(n, geom.a))
+            self._assert_same_bytes(x, y, z, wave_vector(mode, geom), amp, units)
+
+    @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
+    def test_plate_grids(self, units):
+        for geom in self.GEOMS[units]:
+            for mode in self.MODES:
+                wv = wave_vector(mode, geom)
+                for angle in self.ANGLES:
+                    amp = mode_amplitudes(mode, geom, units, angle)
+                    for n in (8, 16, 32, 64, 128):
+                        x, y = np.ix_(self._nodes(n, geom.L),
+                                      self._nodes(n, geom.L))
+                        for z in (0.0, geom.a):
+                            self._assert_same_bytes(x, y, z, wv, amp, units)
+
+    def test_single_point(self):
+        geom = CavityGeometry(a=0.7, L=2.0)
+        wv = wave_vector(ModeIndex(2, 1, 3), geom)
+        amp = mode_amplitudes(ModeIndex(2, 1, 3), geom, NATURAL, 0.6)
+        self._assert_same_bytes(0.3, 1.1, 0.2, wv, amp, NATURAL)
+
+
+class TestSinpi:
+    def test_no_cast_warning_at_huge_or_nan_phases(self):
+        t = np.array([np.nan, 2.0**63, -2.0**63, 1e300, -1e300, 2.0**53 - 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modes._sinpi(t)
+        assert np.isnan(got[0])
+        assert np.all(got[1:] == 0.0)
+
+    def test_same_values_as_integer_parity(self):
+        rng = np.random.default_rng(2100)
+        t = np.concatenate([rng.uniform(-1e6, 1e6, 700),
+                            rng.uniform(-3.0, 3.0, 700),
+                            np.arange(-175.0, 175.0, 0.5)])
+        nearest = np.round(t)
+        sign = np.where(nearest.astype(np.int64) % 2 == 0, 1.0, -1.0)
+        want = sign * np.sin(np.pi * (t - nearest))
+        assert modes._sinpi(t).tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("shapes", [((5, 1, 1), (1, 7, 1), (1, 1, 3)),
+                                        ((), (), ()), ((4, 5), (4, 5), (4, 5)),
+                                        ((8, 1), (1, 8), ())])
+    def test_one_pass_matches_separate_calls(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]))
+        ts = [rng.uniform(-4.0, 4.0, shape) for shape in shapes]
+        ts[0].flat[0] = 0.5  # a half-integer phase, where cos is exactly 0
+        got = modes._sin_cos_pi(*ts)
+        want = ([modes._sinpi(t) for t in ts]
+                + [modes._sinpi(0.5 - t) for t in ts])
+        for g, w in zip(got, want):
+            assert g.shape == np.shape(w)
+            assert g.tobytes() == np.asarray(w).tobytes()
+        assert got[3].flat[0] == 0.0
+
+
 class TestAmplitudes:
+    @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
+    def test_generator_matches_array_formula_bit_for_bit(self, units):
+        for geom in (CavityGeometry(a=1.0, L=1.0), CavityGeometry(a=0.7, L=2.0),
+                     CavityGeometry(a=1e-6, L=2e-6)):
+            for n in ((1, 1, 1), (2, 3, 1), (3, 1, 2), (1, 4, 3)):
+                mode = ModeIndex(*n)
+                for angle in (0.0, 0.6, 0.8, 2.3, 4.0):
+                    wv = wave_vector(mode, geom)
+                    kap, k = wv.kappa, wv.k
+                    e1 = np.array([wv.k_y, -wv.k_x, 0.0]) / kap
+                    e2 = (np.array([wv.k_x * wv.k_z, wv.k_y * wv.k_z, -kap * kap])
+                          / (kap * k))
+                    direction = math.cos(angle) * e1 + math.sin(angle) * e2
+                    want = (math.sqrt(amplitude_norm_squared(mode, geom, units))
+                            * direction)
+                    amp = mode_amplitudes(mode, geom, units, angle)
+                    got = np.array([amp.a_x, amp.a_y, amp.a_z])
+                    assert got.tobytes() == want.tobytes()
+
     def test_norm_squared_frozen_value(self):
         # 2 hbar c k / (eps0 L^2 a) with k = sqrt(3) pi: equals 2 sqrt(3) pi
         got = amplitude_norm_squared(ModeIndex(1, 1, 1),

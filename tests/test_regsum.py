@@ -218,6 +218,19 @@ class TestNumericSum:
         assert sum(integrated) <= 64
 
 
+    def test_overflowing_row_scale_fails_before_any_integral(self, monkeypatch):
+        # at lambda pi / a = 3.1e-200 the exp-sinh scale 1/beta^2 of the
+        # first row is inf, so every abscissa would be inf
+        calls = []
+        monkeypatch.setattr(regsum, "integrate_semi_infinite",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(PrecisionLossError,
+                           match=r"lambda\*pi/a = 3\.142e-200: the exp-sinh "
+                                 r"scale 1/beta\^2"):
+            force_sum_numeric(1.0, Regulator(1e-200), NATURAL)
+        assert calls == []
+
+
 class TestSeries:
     def test_surviving_orders(self):
         assert list(series_terms(1.0, Regulator(0.1), 8)) == [0, 4, 6, 8]

@@ -26,7 +26,7 @@ import math
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import regsum, stress, verify
 from .modes import CavityGeometry, ModeIndex, wave_vector
@@ -48,12 +48,12 @@ _DEFAULTS = {
 }
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str | None) -> dict[str, tuple[str, str]]:
     if path is None:
         path = os.environ.get("CASIMIR_CONFIG")
     if path is None:
         return {}
-    cfg: dict[str, str] = {}
+    cfg: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -65,19 +65,24 @@ def _load_config(path: str | None) -> dict[str, str]:
             if key not in _DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"expected one of {', '.join(_DEFAULTS)}")
-            cfg[key] = value
+            cfg[key] = (value, f"{path}:{lineno}: {key}")
     return cfg
 
 
-def _setting(flag_value, key: str, cfg: dict[str, str]) -> str:
+def _setting(flag_value, key: str, cfg: dict[str, tuple[str, str]],
+             parse: Callable[[str], Any]) -> Any:
+    """The parsed value of the flag, CASIMIR_<KEY>, config key or default."""
+    env = "CASIMIR_" + key.upper()
     if flag_value is not None:
-        return str(flag_value)
-    env = os.environ.get("CASIMIR_" + key.upper())
-    if env is not None:
-        return env
-    if key in cfg:
-        return cfg[key]
-    return _DEFAULTS[key]
+        text, source = str(flag_value), "--" + key.removeprefix("sweep_")
+    elif env in os.environ:
+        text, source = os.environ[env], env
+    else:
+        text, source = cfg.get(key, (_DEFAULTS[key], "default"))
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _str_list(text: str) -> list[str]:
@@ -132,7 +137,7 @@ def _print_json(document: dict, out) -> None:
 
 
 def cmd_verify(args, cfg) -> int:
-    units = get_units(_setting(args.units, "units", cfg))
+    units = _setting(args.units, "units", cfg, get_units)
     sigma_factor = 1.02 if args.inject_fault else 1.0
     results = verify.run_all(args.profile, units=units,
                              sigma_factor=sigma_factor)
@@ -170,8 +175,8 @@ def _force_row(a: float, lam: float, route: str, units, tol: float) -> dict:
 
 
 def cmd_force(args, cfg) -> int:
-    units = get_units(_setting(args.units, "units", cfg))
-    tol = float(_setting(args.tol, "tol", cfg))
+    units = _setting(args.units, "units", cfg, get_units)
+    tol = _setting(args.tol, "tol", cfg, float)
     row = _force_row(args.a, args.lam, args.route, units, tol)
     if args.json:
         _print_json({"schema_version": SCHEMA_VERSION, "command": "force",
@@ -186,11 +191,11 @@ def cmd_force(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
-    units = get_units(_setting(args.units, "units", cfg))
-    tol = float(_setting(args.tol, "tol", cfg))
-    a_values = _float_list(_setting(args.a, "sweep_a", cfg))
-    lam_values = _float_list(_setting(args.lam, "sweep_lambda", cfg))
-    routes = _str_list(_setting(args.routes, "sweep_routes", cfg))
+    units = _setting(args.units, "units", cfg, get_units)
+    tol = _setting(args.tol, "tol", cfg, float)
+    a_values = _setting(args.a, "sweep_a", cfg, _float_list)
+    lam_values = _setting(args.lam, "sweep_lambda", cfg, _float_list)
+    routes = _setting(args.routes, "sweep_routes", cfg, _str_list)
 
     rows = []
     failures = 0
@@ -216,7 +221,7 @@ def cmd_sweep(args, cfg) -> int:
 
 
 def cmd_extract(args, cfg) -> int:
-    units = get_units(_setting(args.units, "units", cfg))
+    units = _setting(args.units, "units", cfg, get_units)
     a = args.a
     if args.lambda_grid is not None:
         grid = _float_list(args.lambda_grid)
@@ -253,7 +258,7 @@ def cmd_extract(args, cfg) -> int:
 
 
 def cmd_modes(args, cfg) -> int:
-    units = get_units(_setting(args.units, "units", cfg))
+    units = _setting(args.units, "units", cfg, get_units)
     if args.n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {args.n_max}")
     geom = CavityGeometry(a=args.a, L=args.big_l)

@@ -60,7 +60,6 @@ __all__ = [
     "amplitude_norm_squared",
     "mean_square_E",
     "mean_square_B_boundary",
-    "default_fd_step",
 ]
 
 
@@ -310,26 +309,18 @@ def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:
     return abs(dot) / norm
 
 
-def default_fd_step(wv: WaveVector) -> float:
-    """Stencil step of 1e-4 of the mode's shortest spatial period."""
-    return 1e-4 * (2.0 * math.pi / wv.k)
-
-
 def divergence_residual(point, wv: WaveVector, amp: ModeAmplitudes,
-                        step: float | None = None) -> float:
+                        step: float) -> float:
     """Central-finite-difference estimate of div E at a point.
 
     The trace of jacobian_fd's Jacobian, added left to right.  Vanishes to
-    O(step^2) for transverse amplitudes.  ``step`` defaults to
-    default_fd_step(wv).
+    O(step^2) for transverse amplitudes.
     """
-    if step is None:
-        step = default_fd_step(wv)
     jac = jacobian_fd(lambda p: electric_mode_at(p, wv, amp), point, step)
     return float(jac[0, 0]) + float(jac[1, 1]) + float(jac[2, 2])
 
 
-def mean_square_E(wv: WaveVector, amp: ModeAmplitudes, region: str) -> float:
+def mean_square_E(amp: ModeAmplitudes, region: str) -> float:
     """Spatial mean of |E|^2, over the box bulk or over a plate.
 
     Each separable trig factor averages to 1/2 over a whole number of half

@@ -4,6 +4,11 @@ Every routine here is deterministic (same inputs give bit-identical outputs)
 and reports an explicit error measure, either in its result type or in the
 exception it raises.  The only state kept is the read-only quadrature nodes,
 cached per exp-sinh level and per Gauss-Legendre order.
+
+The exp-sinh kernel has one calling convention: it integrates a block of
+rows, one integral per row scale, at most 8 levels deep, and returns arrays
+of shape (m,); a scalar scale is a block of one row.  The Gauss-Legendre
+means integrate one function and return floats.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ class QuadratureError(NumericsError):
     callers can decide whether the partial answer is still usable.
     """
 
-    def __init__(self, message: str, value: float, error_estimate: float,
-                 evaluations: int):
+    def __init__(self, message: str, value: float | np.ndarray,
+                 error_estimate: float | np.ndarray, evaluations: int):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
@@ -82,7 +87,7 @@ def check_positive_finite(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """An integral, or a row of integrals, with its error estimate."""
+    """An integral, or a block of integrals, with its error estimate."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -100,6 +105,8 @@ _DE_ROUNDING = 4.0 * sys.float_info.epsilon
 #: Below it values are subnormal and lose relative precision, so a
 #: relative test need not pass however fine the step.
 _DE_FLOOR = sys.float_info.min
+#: Number of exp-sinh levels, from step _DE_H0 down to _DE_H0 / 2**7.
+_DE_LEVELS = 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -128,9 +135,8 @@ def integrate_semi_infinite(
     *,
     scale: float | np.ndarray = 1.0,
     params: Sequence[np.ndarray] = (),
-    limit: int = 8,
 ) -> QuadratureResult:
-    """Integrate continuous, decaying functions over [0, infinity).
+    """Integrate a block of continuous, decaying functions over [0, infinity).
 
     Double-exponential (exp-sinh) rule of Takahasi and Mori, Publ. RIMS 9
     (1974) 721: the substitution x = s exp(pi/2 sinh t) maps the real t
@@ -143,50 +149,42 @@ def integrate_semi_infinite(
     (the integral itself when f keeps one sign) or by the smallest normal
     float, whichever is larger, so the relative test holds for integrals
     above tiny / tol and integrals in the subnormal range still converge;
-    at most ``limit`` levels are computed.  ``scale`` (s) should sit near
-    where f carries its mass.
+    at most _DE_LEVELS (8) levels are computed.
 
-    ``integrand(x, *params)`` returns f elementwise.  With a scalar
-    ``scale`` the abscissae x have shape (k,) and ``params`` are passed
-    unchanged; the result holds floats.  With a column of scales, shape
-    (m, 1), each entry of ``params`` is a column of per-row parameters of
-    the same shape, and the m integrals come back as arrays of shape (m,).
-    A row stops being evaluated at the level where it converges: later
-    levels pass ``integrand`` abscissae of shape (p, k) for the p rows
+    The integrals come in a block of m rows.  ``scale`` is the column of
+    row scales s, shape (m, 1), each near where its f carries its mass; a
+    scalar is a block of one row.  Each entry of ``params`` is a column of
+    per-row parameters of the same shape.  ``integrand(x, *params)``
+    returns f elementwise on abscissae x of shape (p, k) for the p rows
     still pending, each scaled by its own scale, together with those rows
     of every parameter column, so f must depend on a row only through its
-    abscissae and parameters.  ``evaluations`` counts integrand values
-    over all rows, so a block costs what its rows cost one at a time.
+    abscissae and parameters.  A row stops being evaluated at the level
+    where it converges.  Values and error estimates come back as arrays of
+    shape (m,), and ``evaluations`` counts integrand values over all rows,
+    so a block costs what its rows cost one at a time.
 
     The error estimate of a row is the difference between its last two
     levels, which bounds the error of the finer one while the rule
     converges, plus the truncated end terms at |t| = 4, a rounding
     allowance and the smallest normal float.  Raises QuadratureError,
-    carrying the last values and estimates, if a row does not converge
-    within ``limit`` levels or its end terms exceed the tolerance.
+    carrying the last values and estimates of every row, if a row does not
+    converge within _DE_LEVELS levels or its end terms exceed the
+    tolerance.
     """
     import numpy as np
     check_positive_finite("tol", tol)
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    s = np.asarray(scale, dtype=float)
-    column = s.reshape(-1, 1)
+    column = np.asarray(scale, dtype=float).reshape(-1, 1)
     rows = np.arange(column.shape[0])
 
     def transformed(level: int) -> np.ndarray:
         """g on the nodes of ``level`` for the pending rows, shape (p, k)."""
         exp_sinh, jacobian = _de_nodes(level)
         x = column[rows] * exp_sinh
-        if s.ndim == 0:
-            f = integrand(x[0], *params)
-        else:
-            f = integrand(x, *(p[rows] for p in params))
+        f = integrand(x, *(p[rows] for p in params))
         weighted = x * jacobian
         return np.multiply(f, weighted, out=weighted)
 
-    def unwrap(values: np.ndarray) -> float | np.ndarray:
-        return float(values[0]) if s.ndim == 0 else values
-
+    # per-row state, full size; each level updates the pending rows only
     h = _DE_H0
     g = transformed(0)
     evaluations = g.size
@@ -195,45 +193,32 @@ def integrate_semi_infinite(
     magnitude = np.abs(g).sum(axis=-1)
     value = h * total
     estimate = np.full(value.shape, math.inf)
-    value_at = np.full(value.shape, math.nan)
-    estimate_at = np.full(value.shape, math.inf)
-    for level in range(1, limit):
+    for level in range(1, _DE_LEVELS):
         h *= 0.5
         g = transformed(level)
         evaluations += g.size
-        total = total + g.sum(axis=-1)
-        magnitude = magnitude + np.abs(g).sum(axis=-1)
-        finer = h * total
-        change = np.abs(finer - value)
-        value = finer
-        estimate = (change + h * ends + _DE_ROUNDING * h * magnitude
-                    + _DE_FLOOR)
-        bound = np.maximum(tol * h * magnitude, _DE_FLOOR)
+        total[rows] += g.sum(axis=-1)
+        magnitude[rows] += np.abs(g).sum(axis=-1)
+        finer = h * total[rows]
+        change = np.abs(finer - value[rows])
+        value[rows] = finer
+        estimate[rows] = (change + h * ends[rows]
+                          + _DE_ROUNDING * h * magnitude[rows] + _DE_FLOOR)
+        bound = np.maximum(tol * h * magnitude[rows], _DE_FLOOR)
         done = change <= bound
-        if np.any(done & (h * ends > bound)):
-            value_at[rows] = value
-            estimate_at[rows] = estimate
+        if np.any(done & (h * ends[rows] > bound)):
             raise QuadratureError(
                 "exp-sinh quadrature: integrand not negligible at the ends "
                 f"of |t| <= {_DE_T_MAX:g}; adjust scale",
-                value=unwrap(value_at), error_estimate=unwrap(estimate_at),
-                evaluations=evaluations)
-        value_at[rows[done]] = value[done]
-        estimate_at[rows[done]] = estimate[done]
-        pending = ~done
-        rows, ends, total, magnitude, value, estimate = (
-            v[pending] for v in (rows, ends, total, magnitude, value, estimate))
+                value=value, error_estimate=estimate, evaluations=evaluations)
+        rows = rows[~done]
         if rows.size == 0:
-            return QuadratureResult(value=unwrap(value_at),
-                                    error_estimate=unwrap(estimate_at),
+            return QuadratureResult(value=value, error_estimate=estimate,
                                     evaluations=evaluations)
-    value_at[rows] = value
-    estimate_at[rows] = estimate
     raise QuadratureError(
-        f"exp-sinh quadrature did not converge within {limit} levels "
+        f"exp-sinh quadrature did not converge within {_DE_LEVELS} levels "
         f"(tol={tol:g})",
-        value=unwrap(value_at), error_estimate=unwrap(estimate_at),
-        evaluations=evaluations)
+        value=value, error_estimate=estimate, evaluations=evaluations)
 
 
 #: sum_until_tail_bound asks for n = 1.._FIRST_BLOCK first, then for blocks
@@ -248,7 +233,7 @@ def sum_until_tail_bound(
     tail_bound: Callable[[np.ndarray], np.ndarray],
     tol: float,
     *,
-    max_terms: int = 200_000,
+    max_terms: int,
 ) -> float:
     """Sum term(1) + term(2) + ... until the tail is provably negligible.
 

@@ -131,11 +131,19 @@ class ExtractedForce:
     ``coefficients`` multiply lam**e for e in BASIS_EXPONENTS, in order.
     """
 
-    divergent_coefficient: float
-    finite_part: float
     coefficients: tuple[float, ...]
     residual_norm: float
     condition_estimate: float
+
+    @property
+    def divergent_coefficient(self) -> float:
+        """The coefficient of lam**-4, the first of BASIS_EXPONENTS."""
+        return self.coefficients[0]
+
+    @property
+    def finite_part(self) -> float:
+        """The coefficient of lam**0, the second of BASIS_EXPONENTS."""
+        return self.coefficients[1]
 
 
 def bernoulli_numbers(h_max: int) -> tuple[Fraction, ...]:
@@ -481,8 +489,6 @@ def extract_finite_part(a: float,
     c, residual_norm, condition_estimate = fit_linear_basis(samples,
                                                             BASIS_EXPONENTS)
     return ExtractedForce(
-        divergent_coefficient=float(c[0]),
-        finite_part=float(c[1]),
         coefficients=tuple(float(v) for v in c),
         residual_norm=residual_norm,
         condition_estimate=condition_estimate,

@@ -113,7 +113,7 @@ def sigma_zz_from_boundary_averages(wv: WaveVector, amp: ModeAmplitudes,
     substitution without doing the cancellation, as an algebraic
     cross-check.
     """
-    mean_ez2 = mean_square_E(wv, amp, "boundary")
+    mean_ez2 = mean_square_E(amp, "boundary")
     mean_b2 = mean_square_B_boundary(wv, amp, units)
     return 0.5 * (units.epsilon_0 * mean_ez2 - mean_b2 / units.mu_0)
 

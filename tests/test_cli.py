@@ -425,20 +425,33 @@ ONE_LINE_FAILURES = [
     # leading NAME=value tokens set the environment, as in a shell
     (["CASIMIR_SWEEP_ROUTES=", "sweep", "--a", "1", "--lambda", "0.1"], 2,
      "empty list ''"),
+    # a setting that fails to parse names its flag, variable or config line
+    (["CASIMIR_TOL=abc", "force", "--a", "1", "--lambda", "0.1"], 2,
+     "casimir: CASIMIR_TOL: could not convert string to float: 'abc'\n"),
+    (["sweep", "--a", "1", "--config", "bad.cfg"], 2,
+     "casimir: bad.cfg:1: sweep_lambda: could not convert string to float: "
+     "'zz'\n"),
+    (["sweep", "--a", "1,x"], 2,
+     "casimir: --a: could not convert string to float: 'x'\n"),
 ]
+
+#: The config file bad.cfg that ONE_LINE_FAILURES name, in the working
+#: directory of each run.
+BAD_CONFIG = "sweep_lambda = 0.1,zz\n"
 
 
 @pytest.mark.parametrize("argv, code, message", ONE_LINE_FAILURES,
                          ids=[" ".join(case[0]) for case in ONE_LINE_FAILURES])
-def test_failure_prints_one_line_in_subprocess(argv, code, message):
+def test_failure_prints_one_line_in_subprocess(argv, code, message, tmp_path):
     assigned = {}
     while re.fullmatch(r"[A-Z_]+=.*", argv[0]):
         name, value = argv[0].split("=", 1)
         assigned[name] = value
         argv = argv[1:]
+    (tmp_path / "bad.cfg").write_text(BAD_CONFIG)
     done = subprocess.run([sys.executable, "-m", "casimir_plates.cli", *argv],
                           env=_src_env(**assigned), capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=60, cwd=tmp_path)
     assert done.returncode == code
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1, done.stderr

@@ -60,12 +60,22 @@ class TestIntegrateSemiInfinite:
         assert first.error_estimate == second.error_estimate
         assert first.evaluations == second.evaluations
 
-    def test_failure_carries_estimate(self):
+    def test_failure_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_DE_LEVELS", 1)
         with pytest.raises(QuadratureError) as info:
-            integrate_semi_infinite(lambda x: x**3 * np.exp(-x), 1e-13,
-                                    limit=1)
+            integrate_semi_infinite(lambda x: x**3 * np.exp(-x), 1e-13)
         assert info.value.evaluations > 0
-        assert math.isfinite(info.value.value)
+        assert math.isfinite(info.value.value[0])
+
+    def test_scalar_scale_is_a_block_of_one_row(self):
+        f = lambda x: x * np.exp(-2.0 * x)
+        scalar = integrate_semi_infinite(f, 1e-10, scale=0.7)
+        column = integrate_semi_infinite(f, 1e-10, scale=np.full((1, 1), 0.7))
+        assert scalar.value.shape == scalar.error_estimate.shape == (1,)
+        assert scalar.value.tobytes() == column.value.tobytes()
+        assert (scalar.error_estimate.tobytes()
+                == column.error_estimate.tobytes())
+        assert scalar.evaluations == column.evaluations
 
     def test_rejects_bad_tol(self):
         for tol in (0.0, math.nan, math.inf):
@@ -126,15 +136,29 @@ class TestIntegrateSemiInfinite:
         # a row is no longer evaluated once it has converged
         assert block.evaluations == evaluations
 
-    def test_block_failure_carries_rows(self):
+    def test_block_failure_carries_rows(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_DE_LEVELS", 2)
         beta = np.array([[0.5], [5.0]])
         with pytest.raises(QuadratureError) as info:
             integrate_semi_infinite(lambda z, beta: np.exp(-beta * z), 1e-12,
-                                    scale=np.ones((2, 1)), params=(beta,),
-                                    limit=2)
+                                    scale=np.ones((2, 1)), params=(beta,))
         assert info.value.value.shape == (2,)
         assert np.all(np.isfinite(info.value.value))
         assert info.value.evaluations == 2 * 33
+
+    @pytest.mark.parametrize("failing_beta, message", [
+        (1e-30, "did not converge within 8 levels"),
+        (1e-8, "not negligible at the ends"),
+    ])
+    def test_block_failure_keeps_converged_rows(self, failing_beta, message):
+        # beta = 2 converges at level 3; the other row fails at a later level
+        with pytest.raises(QuadratureError, match=message) as info:
+            self._sqrt_kernel_block([2.0, failing_beta], 1e-11)
+        alone = self._sqrt_kernel_block([2.0], 1e-11)
+        assert info.value.value[:1].tobytes() == alone.value.tobytes()
+        assert (info.value.error_estimate[:1].tobytes()
+                == alone.error_estimate.tobytes())
+        assert info.value.evaluations > alone.evaluations
 
     def test_truncated_end_raises(self):
         # with the scale far below the decay length, the rule's right end
@@ -147,14 +171,15 @@ class TestSumUntilTailBound:
     def test_basel_series(self):
         # sum 1/n^2 = pi^2/6; tail past n is below 1/n
         total = sum_until_tail_bound(lambda n: 1.0 / n**2,
-                                     lambda n: 1.0 / n, 1e-5)
+                                     lambda n: 1.0 / n, 1e-5,
+                                     max_terms=200_000)
         assert abs(total - math.pi**2 / 6.0) <= 1.1e-5 * (math.pi**2 / 6.0)
 
     def test_geometric_series_exact_tail(self):
         q = 0.37
         total = sum_until_tail_bound(lambda n: q**n,
                                      lambda n: q ** (n + 1) / (1.0 - q),
-                                     1e-14)
+                                     1e-14, max_terms=200_000)
         assert total == pytest.approx(q / (1.0 - q), rel=1e-13)
 
     def test_exhaustion_raises(self):
@@ -169,7 +194,8 @@ class TestSumUntilTailBound:
         for tol in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 sum_until_tail_bound(lambda n: np.zeros(n.shape),
-                                     lambda n: np.zeros(n.shape), tol)
+                                     lambda n: np.zeros(n.shape), tol,
+                                     max_terms=200_000)
 
     @staticmethod
     def _running_sum(term, tail_bound, tol, max_terms):
@@ -192,7 +218,8 @@ class TestSumUntilTailBound:
         def tail_bound(ns):
             return q ** (ns + 1) * (ns + 1.0 / (1.0 - q)) / (1.0 - q)
 
-        total = sum_until_tail_bound(terms, tail_bound, 1e-12)
+        total = sum_until_tail_bound(terms, tail_bound, 1e-12,
+                                     max_terms=200_000)
         ns = np.concatenate(asked)
         expected, stop = self._running_sum(terms, tail_bound, 1e-12, 200_000)
         assert total == expected
@@ -218,7 +245,7 @@ class TestSumUntilTailBound:
     def test_geometric_series_property(self, q):
         total = sum_until_tail_bound(lambda n: q**n,
                                      lambda n: q ** (n + 1) / (1.0 - q),
-                                     1e-10)
+                                     1e-10, max_terms=200_000)
         exact = q / (1.0 - q)
         assert abs(total - exact) <= 2e-10 * exact
 

@@ -28,7 +28,7 @@ import re
 import sys
 from typing import Any, Callable, Sequence
 
-from . import regsum, stress, verify
+from . import regsum, stress
 from .modes import CavityGeometry, ModeIndex, wave_vector
 from .numerics import IllConditionedFitError, NumericsError
 from .units import get_units
@@ -69,20 +69,25 @@ def _load_config(path: str | None) -> dict[str, tuple[str, str]]:
     return cfg
 
 
-def _setting(flag_value, key: str, cfg: dict[str, tuple[str, str]],
-             parse: Callable[[str], Any]) -> Any:
-    """The parsed value of the flag, CASIMIR_<KEY>, config key or default."""
-    env = "CASIMIR_" + key.upper()
-    if flag_value is not None:
-        text, source = str(flag_value), "--" + key.removeprefix("sweep_")
-    elif env in os.environ:
-        text, source = os.environ[env], env
-    else:
-        text, source = cfg.get(key, (_DEFAULTS[key], "default"))
+def _parse(text: str, source: str, parse: Callable[[str], Any]) -> Any:
+    """parse(text); a failure names the flag, variable or config line."""
     try:
         return parse(text)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+
+
+def _setting(flag_text, key: str, cfg: dict[str, tuple[str, str]],
+             parse: Callable[[str], Any]) -> Any:
+    """The parsed value of the flag, CASIMIR_<KEY>, config key or default."""
+    env = "CASIMIR_" + key.upper()
+    if flag_text is not None:
+        text, source = flag_text, "--" + key.removeprefix("sweep_")
+    elif env in os.environ:
+        text, source = os.environ[env], env
+    else:
+        text, source = cfg.get(key, (_DEFAULTS[key], "default"))
+    return _parse(text, source, parse)
 
 
 def _str_list(text: str) -> list[str]:
@@ -137,6 +142,7 @@ def _print_json(document: dict, out) -> None:
 
 
 def cmd_verify(args, cfg) -> int:
+    from . import verify  # here, so that no other command compiles it
     units = _setting(args.units, "units", cfg, get_units)
     sigma_factor = 1.02 if args.inject_fault else 1.0
     results = verify.run_all(args.profile, units=units,
@@ -177,7 +183,9 @@ def _force_row(a: float, lam: float, route: str, units, tol: float) -> dict:
 def cmd_force(args, cfg) -> int:
     units = _setting(args.units, "units", cfg, get_units)
     tol = _setting(args.tol, "tol", cfg, float)
-    row = _force_row(args.a, args.lam, args.route, units, tol)
+    a = _parse(args.a, "--a", float)
+    lam = _parse(args.lam, "--lambda", float)
+    row = _force_row(a, lam, args.route, units, tol)
     if args.json:
         _print_json({"schema_version": SCHEMA_VERSION, "command": "force",
                      "units": units.name, "row": row}, sys.stdout)
@@ -222,9 +230,9 @@ def cmd_sweep(args, cfg) -> int:
 
 def cmd_extract(args, cfg) -> int:
     units = _setting(args.units, "units", cfg, get_units)
-    a = args.a
+    a = _parse(args.a, "--a", float)
     if args.lambda_grid is not None:
-        grid = _float_list(args.lambda_grid)
+        grid = _parse(args.lambda_grid, "--lambda-grid", _float_list)
     else:
         grid = regsum.default_lambda_grid(a)
     result = regsum.extract_finite_part(a, grid, units)
@@ -259,11 +267,13 @@ def cmd_extract(args, cfg) -> int:
 
 def cmd_modes(args, cfg) -> int:
     units = _setting(args.units, "units", cfg, get_units)
-    if args.n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {args.n_max}")
-    geom = CavityGeometry(a=args.a, L=args.big_l)
+    n_max = _parse(args.n_max, "--n-max", int)
+    a, big_l = _parse(args.a, "--a", float), _parse(args.big_l, "--L", float)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    geom = CavityGeometry(a=a, L=big_l)
     rows = []
-    for n in itertools.product(range(1, args.n_max + 1), repeat=3):
+    for n in itertools.product(range(1, n_max + 1), repeat=3):
         mode = ModeIndex(*n)
         try:
             values = (wave_vector(mode, geom).kappa,
@@ -287,10 +297,8 @@ def cmd_modes(args, cfg) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", choices=("natural", "si"), default=None,
-                        help="unit system (default natural)")
-    common.add_argument("--config", default=None,
-                        help="config file with 'key = value' lines")
+    common.add_argument("--units", help="natural (default) or si")
+    common.add_argument("--config", help="config file of 'key = value' lines")
 
     parser = argparse.ArgumentParser(
         prog="casimir",
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the self-check suite")
-    p.add_argument("--profile", choices=verify.PROFILES, default="default")
+    p.add_argument("--profile", default="default", help="default or strict")
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb the closed-form stress inside the oracle "
                         "comparison; proves the check can fail")
@@ -309,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("force", parents=[common],
                        help="one regularized force value")
-    p.add_argument("--a", type=float, required=True, help="plate separation")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="cutoff length")
-    p.add_argument("--route", choices=regsum.ROUTES, default="closed_form")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--a", required=True, help="plate separation")
+    p.add_argument("--lambda", dest="lam", required=True, help="cutoff length")
+    p.add_argument("--route", default="closed_form",
+                   help=f"one of {','.join(regsum.ROUTES)}")
+    p.add_argument("--tol", default=None,
                    help="tolerance for the numeric route")
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(handler=cmd_force)
@@ -326,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routes", default=None,
                    help="comma-separated routes "
                         f"(subset of {','.join(regsum.ROUTES)})")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("extract", parents=[common],
                        help="finite part by least-squares fit in the cutoff")
-    p.add_argument("--a", type=float, required=True, help="plate separation")
+    p.add_argument("--a", required=True, help="plate separation")
     p.add_argument("--lambda-grid", default=None,
                    help="comma-separated cutoff lengths (default: a scaled "
                         "six-point grid)")
@@ -341,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modes", parents=[common],
                        help="per-mode averaged normal stress table")
-    p.add_argument("--n-max", type=int, default=3,
+    p.add_argument("--n-max", default="3",
                    help="largest mode number per axis")
-    p.add_argument("--a", type=float, default=1.0, help="plate separation")
-    p.add_argument("--L", dest="big_l", type=float, default=1.0,
+    p.add_argument("--a", default="1.0", help="plate separation")
+    p.add_argument("--L", dest="big_l", default="1.0",
                    help="transverse box side")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_modes)

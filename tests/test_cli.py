@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -6,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import regsum, verify
-from casimir_plates.cli import build_parser, main
+from casimir_plates import regsum
+from casimir_plates.cli import main
 from casimir_plates.units import SI
 
 
@@ -73,10 +73,11 @@ class TestForce:
         assert code == 2
         assert "numerical failure" in err
 
-    def test_bad_route_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["force", "--a", "1", "--lambda", "1", "--route", "magic"])
-        assert info.value.code == 2
+    def test_bad_route_usage_error(self):
+        code, out, err = _run_quietly(["force", "--a", "1", "--lambda", "1",
+                                       "--route", "magic"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
 
 
 class TestSweep:
@@ -213,13 +214,6 @@ class TestVerifyCommand:
         assert {"name", "residual", "bound", "passed", "detail"} == set(
             doc["checks"][0])
 
-    def test_profile_choices_are_verify_profiles(self):
-        sub = next(action for action in build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
-        profile = next(action for action in sub.choices["verify"]._actions
-                       if action.dest == "profile")
-        assert profile.choices is verify.PROFILES
-
 
 class TestConfigPrecedence:
     def test_config_file_sets_sweep_grid(self, capsys, tmp_path, monkeypatch):
@@ -265,6 +259,25 @@ class TestConfigPrecedence:
         assert row["finite_part"] == pytest.approx(
             regsum.casimir_closed_form(1e-6, SI), rel=1e-14)
 
+    @pytest.mark.parametrize("name", ["si", "SI"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_units_ignore_case_from_every_source(self, capsys, tmp_path,
+                                                 monkeypatch, source, name):
+        argv = ["force", "--a", "1e-6", "--lambda", "3e-8", "--json"]
+        monkeypatch.delenv("CASIMIR_UNITS", raising=False)
+        monkeypatch.delenv("CASIMIR_CONFIG", raising=False)
+        reference = run_cli(capsys, *argv, "--units", "si")
+        assert reference[0] == 0
+        if source == "flag":
+            argv += ["--units", name]
+        elif source == "env":
+            monkeypatch.setenv("CASIMIR_UNITS", name)
+        else:
+            cfg = tmp_path / "units.cfg"
+            cfg.write_text(f"units = {name}\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(capsys, *argv) == reference
+
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sweep_a\n")
@@ -296,11 +309,13 @@ def _src_env(**extra):
 
 def test_cli_import_leaves_scipy_out():
     # numpy too: the package and the CLI import only what their top levels
-    # need, and array code imports numpy where it runs
+    # need, and array code imports numpy where it runs; verify too, which
+    # only the verify command imports
     probe = ("import sys\n"
+             "left_out = {'numpy', 'scipy', 'casimir_plates.verify'}\n"
              "for name in ('casimir_plates', 'casimir_plates.cli'):\n"
              "    __import__(name)\n"
-             "    print(name, sorted({'numpy', 'scipy'} & set(sys.modules)))")
+             "    print(name, sorted(left_out & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -433,6 +448,24 @@ ONE_LINE_FAILURES = [
      "'zz'\n"),
     (["sweep", "--a", "1,x"], 2,
      "casimir: --a: could not convert string to float: 'x'\n"),
+    (["extract", "--a", "1", "--lambda-grid", "0.01,x"], 2,
+     "casimir: --lambda-grid: could not convert string to float: 'x'\n"),
+    (["force", "--a", "x", "--lambda", "0.1"], 2,
+     "casimir: --a: could not convert string to float: 'x'\n"),
+    (["force", "--a", "1", "--lambda", "0.1", "--tol", "abc"], 2,
+     "casimir: --tol: could not convert string to float: 'abc'\n"),
+    (["modes", "--n-max", "2.5"], 2,
+     "casimir: --n-max: invalid literal for int() with base 10: '2.5'\n"),
+    # a value outside its domain is named by the library check
+    (["force", "--a", "1", "--lambda", "0.1", "--units", "bogus"], 2,
+     "casimir: --units: unknown unit system 'bogus'; expected 'natural' or "
+     "'si'\n"),
+    (["verify", "--profile", "bogus"], 2,
+     "casimir: unknown profile 'bogus'; expected one of ('default', "
+     "'strict')\n"),
+    (["force", "--a", "1", "--lambda", "0.1", "--route", "magic"], 2,
+     "casimir: unknown route 'magic'; expected one of ('closed_form', "
+     "'numeric_sum', 'series')\n"),
 ]
 
 #: The config file bad.cfg that ONE_LINE_FAILURES name, in the working
@@ -524,3 +557,32 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
     assert code in (0, 1, 2)
     if code == 0:
         assert not _NON_FINITE.search(out)
+
+
+def _study_recipes():
+    """The argv of every `casimir ...` line in README's Studies section."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").partition("\n## Studies\n")[2]
+    return [shlex.split(line)[1:]
+            for line in section.partition("\n## ")[0].splitlines()
+            if line.startswith("casimir ")]
+
+
+STUDY_RECIPES = _study_recipes()
+
+
+@pytest.mark.parametrize("argv", STUDY_RECIPES, ids=" ".join)
+def test_readme_study_runs(argv):
+    code, out, err = _run_quietly(argv)
+    assert code == 0, err
+    assert out
+
+
+def test_readme_cutoff_scan_remainder_falls_like_lambda_squared():
+    # the first study is the cutoff scan
+    code, out, err = _run_quietly(STUDY_RECIPES[0])
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) >= 3
+    ratios = [float(r["remainder"]) / float(r["lambda"])**2 for r in rows]
+    assert ratios == [pytest.approx(ratios[0], rel=0.01)] * len(ratios)

@@ -10,64 +10,44 @@ The attraction emerges in three layers, each exposed on its own:
 numerics holds the shared kernels (quadrature, tail-bounded sums, basis
 fits), verify the cross-layer self-checks, and cli the command line.
 
-Every function that works on arrays imports numpy itself, so importing the
-package, and the closed-form, series and mode-table paths, never load it.
+The package loads each layer on first use: importing it runs no layer, and
+a public name below imports its layer when it is first looked up.  Every
+function that works on arrays imports numpy itself, so the closed-form,
+series and mode-table paths never load it.
 """
 
-from .modes import (
-    CavityGeometry,
-    ModeAmplitudes,
-    ModeIndex,
-    WaveVector,
-    amplitude_norm_squared,
-    electric_mode_at,
-    magnetic_mode_at,
-    mode_amplitudes,
-    wave_vector,
-)
-from .regsum import (
-    Regulator,
-    RegularizedForce,
-    asymptotic_parts,
-    bernoulli_numbers,
-    casimir_closed_form,
-    extract_finite_part,
-    force_closed_form,
-    force_per_n_sum,
-    force_sum_numeric,
-    series_terms,
-)
-from .stress import sigma_zz_direct, sigma_zz_mode, stress_tensor
-from .units import NATURAL, SI, UnitSystem, get_units
+import importlib
+
+#: The layer that defines each public name.
+_LAYER_OF = {name: layer for layer, names in {
+    "modes": ("CavityGeometry", "ModeAmplitudes", "ModeIndex", "WaveVector",
+              "amplitude_norm_squared", "electric_mode_at",
+              "magnetic_mode_at", "mode_amplitudes", "wave_vector"),
+    "regsum": ("Regulator", "RegularizedForce", "asymptotic_parts",
+               "bernoulli_numbers", "casimir_closed_form",
+               "extract_finite_part", "force_closed_form", "force_per_n_sum",
+               "force_sum_numeric", "series_terms"),
+    "stress": ("sigma_zz_direct", "sigma_zz_mode", "stress_tensor"),
+    "units": ("NATURAL", "SI", "UnitSystem", "get_units"),
+}.items() for name in names}
+
+#: Layers reachable as attributes of the package without an import.
+_LAYERS = ("modes", "numerics", "regsum", "stress", "units")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CavityGeometry",
-    "ModeAmplitudes",
-    "ModeIndex",
-    "NATURAL",
-    "Regulator",
-    "RegularizedForce",
-    "SI",
-    "UnitSystem",
-    "WaveVector",
-    "amplitude_norm_squared",
-    "asymptotic_parts",
-    "bernoulli_numbers",
-    "casimir_closed_form",
-    "electric_mode_at",
-    "extract_finite_part",
-    "force_closed_form",
-    "force_per_n_sum",
-    "force_sum_numeric",
-    "get_units",
-    "magnetic_mode_at",
-    "mode_amplitudes",
-    "series_terms",
-    "sigma_zz_direct",
-    "sigma_zz_mode",
-    "stress_tensor",
-    "wave_vector",
-    "__version__",
-]
+__all__ = [*sorted(_LAYER_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the layer behind a public name on first lookup (PEP 562)."""
+    if name in _LAYERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAYER_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_LAYER_OF[name]}"),
+                       name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYER_OF, *_LAYERS})

@@ -28,9 +28,9 @@ import re
 import sys
 from typing import Any, Callable, Sequence
 
-from . import regsum, stress
-from .modes import CavityGeometry, ModeIndex, wave_vector
-from .numerics import IllConditionedFitError, NumericsError
+# each command imports the layers it runs, so that start-up pays for no
+# other
+from .numerics import IllConditionedFitError, NumericsError, PrecisionLossError
 from .units import get_units
 
 SCHEMA_VERSION = 1
@@ -38,6 +38,8 @@ SCHEMA_VERSION = 1
 SWEEP_COLUMNS = ("a", "lambda", "route", "force_per_area", "divergent_part",
                  "finite_part", "remainder", "error_estimate")
 MODES_COLUMNS = ("n_x", "n_y", "n_z", "kappa", "sigma_zz")
+#: regsum.ROUTES, spelled out so that the help text loads no layer
+_ROUTE_NAMES = "closed_form,numeric_sum,series"
 
 _DEFAULTS = {
     "units": "natural",
@@ -142,7 +144,7 @@ def _print_json(document: dict, out) -> None:
 
 
 def cmd_verify(args, cfg) -> int:
-    from . import verify  # here, so that no other command compiles it
+    from . import verify
     units = _setting(args.units, "units", cfg, get_units)
     sigma_factor = 1.02 if args.inject_fault else 1.0
     results = verify.run_all(args.profile, units=units,
@@ -174,6 +176,7 @@ def cmd_verify(args, cfg) -> int:
 
 
 def _force_row(a: float, lam: float, route: str, units, tol: float) -> dict:
+    from . import regsum
     force = regsum.decompose(a, regsum.Regulator(lam), units, route, tol=tol)
     return dict(zip(SWEEP_COLUMNS, (
         a, force.lam, force.route, force.total, force.divergent_part,
@@ -213,7 +216,7 @@ def cmd_sweep(args, cfg) -> int:
             for route in routes:
                 try:
                     rows.append(_force_row(a, lam, route, units, tol))
-                except (NumericsError, regsum.PrecisionLossError) as exc:
+                except (NumericsError, PrecisionLossError) as exc:
                     failures += 1
                     print(f"sweep: a={a:g} lambda={lam:g} route={route}: {exc}",
                           file=sys.stderr)
@@ -229,6 +232,7 @@ def cmd_sweep(args, cfg) -> int:
 
 
 def cmd_extract(args, cfg) -> int:
+    from . import regsum
     units = _setting(args.units, "units", cfg, get_units)
     a = _parse(args.a, "--a", float)
     if args.lambda_grid is not None:
@@ -266,23 +270,24 @@ def cmd_extract(args, cfg) -> int:
 
 
 def cmd_modes(args, cfg) -> int:
+    from . import modes, stress
     units = _setting(args.units, "units", cfg, get_units)
     n_max = _parse(args.n_max, "--n-max", int)
     a, big_l = _parse(args.a, "--a", float), _parse(args.big_l, "--L", float)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    geom = CavityGeometry(a=a, L=big_l)
+    geom = modes.CavityGeometry(a=a, L=big_l)
     rows = []
     for n in itertools.product(range(1, n_max + 1), repeat=3):
-        mode = ModeIndex(*n)
+        mode = modes.ModeIndex(*n)
         try:
-            values = (wave_vector(mode, geom).kappa,
+            values = (modes.wave_vector(mode, geom).kappa,
                       stress.sigma_zz_mode(mode, geom, units))
             finite = all(map(math.isfinite, values))
         except ArithmeticError:
             finite = False
         if not finite:
-            raise regsum.PrecisionLossError(
+            raise PrecisionLossError(
                 f"mode {n} at a = {geom.a!r}, L = {geom.L!r}: kappa or "
                 "sigma_zz leaves the double range")
         rows.append(dict(zip(MODES_COLUMNS, (*n, *values))))
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="plate separation")
     p.add_argument("--lambda", dest="lam", required=True, help="cutoff length")
     p.add_argument("--route", default="closed_form",
-                   help=f"one of {','.join(regsum.ROUTES)}")
+                   help=f"one of {_ROUTE_NAMES}")
     p.add_argument("--tol", default=None,
                    help="tolerance for the numeric route")
     p.add_argument("--json", action="store_true", help="machine output")
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cutoff lengths")
     p.add_argument("--routes", default=None,
                    help="comma-separated routes "
-                        f"(subset of {','.join(regsum.ROUTES)})")
+                        f"(subset of {_ROUTE_NAMES})")
     p.add_argument("--tol", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_sweep)
@@ -389,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IllConditionedFitError as exc:
         print(f"casimir: fit failed: {exc}", file=sys.stderr)
         return 1
-    except (NumericsError, regsum.PrecisionLossError, ArithmeticError) as exc:
+    except (NumericsError, PrecisionLossError, ArithmeticError) as exc:
         print(f"casimir: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

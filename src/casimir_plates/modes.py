@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import check_positive_finite, jacobian_fd
 from .units import UnitSystem
@@ -92,36 +91,45 @@ def _sin_cos_pi(tx, ty, tz):
     return out
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """Positive integer mode numbers along x, y, z."""
-
+# A NamedTuple body may not define __new__, so a record that validates its
+# fields does so in a subclass of its field tuple.
+class _ModeIndexFields(NamedTuple):
     n_x: int
     n_y: int
     n_z: int
 
-    def __post_init__(self):
-        for label, n in (("n_x", self.n_x), ("n_y", self.n_y), ("n_z", self.n_z)):
+
+class ModeIndex(_ModeIndexFields):
+    """Positive integer mode numbers along x, y, z."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_x: int, n_y: int, n_z: int):
+        for label, n in (("n_x", n_x), ("n_y", n_y), ("n_z", n_z)):
             if not isinstance(n, numbers.Integral) or isinstance(n, bool):
                 raise ValueError(f"{label} must be an integer, got {n!r}")
             if n < 1:
                 raise ValueError(f"{label} must be >= 1, got {n}")
+        return super().__new__(cls, n_x, n_y, n_z)
 
 
-@dataclass(frozen=True)
-class CavityGeometry:
-    """Plate separation a (plates at z = 0 and z = a) and transverse side L."""
-
+class _CavityGeometryFields(NamedTuple):
     a: float
     L: float
 
-    def __post_init__(self):
-        check_positive_finite("a", self.a)
-        check_positive_finite("L", self.L)
+
+class CavityGeometry(_CavityGeometryFields):
+    """Plate separation a (plates at z = 0 and z = a) and transverse side L."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, L: float):
+        check_positive_finite("a", a)
+        check_positive_finite("L", L)
+        return super().__new__(cls, a, L)
 
 
-@dataclass(frozen=True)
-class WaveVector:
+class WaveVector(NamedTuple):
     """Cartesian wave vector of a cavity mode, carrying the mode and geometry.
 
     Phase arguments are formed from the exact rationals n * (coordinate /
@@ -154,8 +162,7 @@ class WaveVector:
                 self.mode.n_z * (z / self.geom.a))
 
 
-@dataclass(frozen=True)
-class ModeAmplitudes:
+class ModeAmplitudes(NamedTuple):
     """Electric amplitude vector (A_x, A_y, A_z)."""
 
     a_x: float

@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,6 +26,7 @@ __all__ = [
     "QuadratureError",
     "TailBoundError",
     "IllConditionedFitError",
+    "PrecisionLossError",
     "QuadratureResult",
     "check_positive_finite",
     "integrate_semi_infinite",
@@ -79,14 +79,17 @@ class IllConditionedFitError(NumericsError):
         self.condition_estimate = condition_estimate
 
 
+class PrecisionLossError(ValueError):
+    """A value lost to cancellation, or a result out of double range."""
+
+
 def check_positive_finite(name: str, value: float) -> None:
     """Reject a length, cutoff or tolerance that is not positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """An integral, or a block of integrals, with its error estimate."""
 
     value: float | np.ndarray

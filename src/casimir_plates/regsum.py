@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .numerics import (
+    PrecisionLossError,
     check_positive_finite,
     fit_linear_basis,
     integrate_semi_infinite,
@@ -85,22 +85,21 @@ _MIN_CUTOFF_RATIO = 1e-8
 _EXTRACT_RATIO_WINDOW = (0.01, 0.5)
 
 
-class PrecisionLossError(ValueError):
-    """A value lost to cancellation, or a result out of double range."""
-
-
-@dataclass(frozen=True)
-class Regulator:
-    """Exponential cutoff exp(-lambda k); lam is the cutoff length."""
-
+class _RegulatorFields(NamedTuple):
     lam: float
 
-    def __post_init__(self):
-        check_positive_finite("lam", self.lam)
+
+class Regulator(_RegulatorFields):
+    """Exponential cutoff exp(-lambda k); lam is the cutoff length."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: float):
+        check_positive_finite("lam", lam)
+        return super().__new__(cls, lam)
 
 
-@dataclass(frozen=True)
-class RegularizedForce:
+class RegularizedForce(NamedTuple):
     """A route's force value, its error estimate, and its small-lambda split.
 
     total = divergent_part + finite_part + remainder, where divergent_part
@@ -124,8 +123,7 @@ class RegularizedForce:
         return self.total - self.divergent_part - self.finite_part
 
 
-@dataclass(frozen=True)
-class ExtractedForce:
+class ExtractedForce(NamedTuple):
     """Finite part recovered from force samples by a least-squares fit.
 
     ``coefficients`` multiply lam**e for e in BASIS_EXPONENTS, in order.

@@ -9,15 +9,14 @@ pressures in pascals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 HBAR_C_SI = 3.1615e-26          # J m
 EPSILON_0_SI = 8.8541878128e-12  # F / m
 C_SI = 299792458.0              # m / s
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(NamedTuple):
     """Bundle of physical constants threaded through field and force code."""
 
     name: str

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import modes, regsum, stress
 from .numerics import jacobian_fd, mean_over_box, mean_over_rectangle
@@ -31,8 +31,7 @@ PROFILES = ("default", "strict")
 _GEOMS = (modes.CavityGeometry(a=1.0, L=1.0), modes.CavityGeometry(a=0.7, L=2.0))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     residual: float
     bound: float

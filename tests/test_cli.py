@@ -309,10 +309,13 @@ def _src_env(**extra):
 
 def test_cli_import_leaves_scipy_out():
     # numpy too: the package and the CLI import only what their top levels
-    # need, and array code imports numpy where it runs; verify too, which
-    # only the verify command imports
+    # need, and array code imports numpy where it runs; no layer but units
+    # and numerics either, since each command imports its own layers, and
+    # no dataclasses or fractions, which only regsum uses
     probe = ("import sys\n"
-             "left_out = {'numpy', 'scipy', 'casimir_plates.verify'}\n"
+             "left_out = {'numpy', 'scipy', 'dataclasses', 'fractions'}\n"
+             "left_out |= {'casimir_plates.' + m for m in\n"
+             "             ('modes', 'stress', 'regsum', 'verify')}\n"
              "for name in ('casimir_plates', 'casimir_plates.cli'):\n"
              "    __import__(name)\n"
              "    print(name, sorted(left_out & set(sys.modules)))")
@@ -321,6 +324,54 @@ def test_cli_import_leaves_scipy_out():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["casimir_plates []",
                                         "casimir_plates.cli []"]
+
+
+#: Runs cli.main on argv[2:] and prints on stderr which of the modules
+#: named by the JSON list argv[1] sys.modules holds afterwards.
+_MODULES_PROBE = """\
+import json, sys
+from casimir_plates.cli import main
+code = main(sys.argv[2:])
+print(sorted(set(json.loads(sys.argv[1])) & set(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+_FORCE_ONLY = ["casimir_plates.modes", "casimir_plates.stress",
+               "casimir_plates.verify", "dataclasses"]
+
+#: Each command with the modules it must not load: the force commands
+#: need neither the fields nor the stress, the mode table no mode sums,
+#: and no command the dataclasses machinery.
+COMMAND_LAYERS = [
+    (["force", "--a", "1", "--lambda", "0.1"], _FORCE_ONLY),
+    (["force", "--a", "1", "--lambda", "0.1", "--route", "series"],
+     _FORCE_ONLY),
+    (["sweep", "--a", "0.5,1", "--lambda", "0.05,0.1"], _FORCE_ONLY),
+    (["extract", "--a", "1"], _FORCE_ONLY),
+    (["modes", "--n-max", "2"], ["casimir_plates.regsum", "fractions",
+                                 "casimir_plates.verify", "dataclasses"]),
+    (["verify"], ["dataclasses"]),
+]
+
+
+@pytest.mark.parametrize("argv, left_out", COMMAND_LAYERS,
+                         ids=[" ".join(case[0]) for case in COMMAND_LAYERS])
+def test_command_loads_only_its_layers(argv, left_out):
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, json.dumps(left_out), *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    assert done.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("command, label", [("force", "one of"),
+                                            ("sweep", "subset of")])
+def test_route_help_lists_exactly_the_routes(command, label):
+    code, out, _ = _run_quietly([command, "--help"])
+    assert code == 0
+    listed = re.search(label + r"\s+([\w,]+)", out).group(1)
+    assert tuple(listed.split(",")) == regsum.ROUTES
 
 
 #: Commands that use only math: closed-form and series forces, the

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import re
@@ -139,6 +138,7 @@ def _print_csv(columns: Sequence[str], rows: list[dict], out) -> None:
 
 
 def _print_json(document: dict, out) -> None:
+    import json
     print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False),
           file=out)
 

@@ -14,7 +14,9 @@ means integrate one function and return floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -294,59 +296,99 @@ def sum_until_tail_bound(
 
 
 _COND_MAX = 1e6
+_JACOBI_SWEEPS = 30  # sweep cap of _jacobi_svd; an extract fit takes 5 or 6
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return math.fsum(map(operator.mul, u, v))
+
+
+def _jacobi_svd(columns: list[list[float]]
+                ) -> tuple[list[float], list[list[float]]]:
+    """(sigma_j**2, column j of V) by one-sided (Hestenes) Jacobi rotations.
+
+    Rotates column pairs in place, and V's alike, until each pair is
+    orthogonal to m eps relatively, leaving A V = U Sigma (Demmel and
+    Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204).
+    """
+    k, tol = len(columns), len(columns[0]) * sys.float_info.epsilon
+    v = [[float(i == j) for i in range(k)] for j in range(k)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p, q in itertools.combinations(range(k), 2):
+            alpha, beta, gamma = (_dot(columns[i], columns[j])
+                                  for i, j in ((p, p), (q, q), (p, q)))
+            if abs(gamma) <= tol * math.sqrt(alpha) * math.sqrt(beta):
+                continue
+            rotated = True
+            # t, the smaller root of t^2 + 2 zeta t = 1, zeroes gamma
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            for pair in (columns, v):
+                x, y = pair[p], pair[q]
+                pair[p] = [c * (xi - t * yi) for xi, yi in zip(x, y)]
+                pair[q] = [c * (t * xi + yi) for xi, yi in zip(x, y)]
+        if not rotated:
+            return [_dot(col, col) for col in columns], v
+    raise IllConditionedFitError(
+        f"Jacobi SVD still rotating after {_JACOBI_SWEEPS} sweeps",
+        condition_estimate=math.inf)
 
 
 def fit_linear_basis(samples: Iterable[tuple[float, float]],
                      basis_exponents: Sequence[float]
-                     ) -> tuple[np.ndarray, float, float]:
+                     ) -> tuple[tuple[float, ...], float, float]:
     """Least-squares fit of y ~ sum_i c_i * x**e_i over (x, y) samples.
 
-    Returns (coefficients, residual_norm, condition_estimate): the array of
-    c_i, the 2-norm of the residuals and the equilibrated condition number.
-
-    The design matrix is column-equilibrated (each column scaled to unit
-    norm) before the SVD solve, so the reported condition number measures
-    genuine collinearity of the basis functions on the sample points rather
-    than raw column scale; with exponents like -4 the unscaled matrix is
-    numerically useless.  Coefficients are mapped back to the original
-    scale before returning.
-
-    Raises IllConditionedFitError when the equilibrated condition number
-    exceeds _COND_MAX (1e6) or the matrix is rank deficient.
+    Returns (coefficients, residual_norm, condition_estimate): the tuple of
+    c_i, the 2-norm of the residuals and sigma_max / sigma_min of the design
+    scaled to unit columns, in which the SVD solves c = V Sigma^-1 U^T y;
+    scaled, it measures collinearity, not the scale of columns like x**-4.
+    Raises ValueError for samples that are not finite (x, y) pairs, and
+    IllConditionedFitError when the condition number exceeds _COND_MAX
+    (1e6) or sigma_min is at most eps * max(m, k) * sigma_max.
     """
-    import numpy as np
-    pts = np.asarray(list(samples), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("samples must be (x, y) pairs")
-    exps = np.asarray(basis_exponents, dtype=float)
-    if exps.size == 0:
+    pts = [tuple(map(float, p)) for p in samples]
+    if not pts or any(len(p) != 2 or not all(map(math.isfinite, p))
+                      for p in pts):
+        raise ValueError("samples must be finite (x, y) pairs")
+    x, y = zip(*pts)
+    exps = [float(e) for e in basis_exponents]
+    if not exps:
         raise ValueError("need at least one basis exponent")
-    x, y = pts[:, 0], pts[:, 1]
-    if x.size < exps.size:
+    if len(x) < len(exps):
         raise ValueError("need at least as many samples as basis functions")
-    if np.any(exps < 0) and np.any(x <= 0.0):
+    if min(exps) < 0 and min(x) <= 0.0:
         raise ValueError("negative exponents require strictly positive x")
 
-    # x**e overflows for extreme x; the column norm is then not finite,
-    # which the degenerate-column check below rejects
-    with np.errstate(over="ignore"):
-        design = np.power.outer(x, exps)
-        scale = np.linalg.norm(design, axis=0)
-    if not np.all(np.isfinite(scale)) or np.any(scale == 0.0):
+    # x**e overflows or is complex for extreme or negative x: degenerate
+    try:
+        design = [[math.pow(xi, e) for xi in x] for e in exps]
+        scale = [math.hypot(*col) for col in design]
+    except (OverflowError, ValueError):
+        scale = [math.inf]
+    if not all(0.0 < s < math.inf for s in scale):
         raise IllConditionedFitError(
             "degenerate design column", condition_estimate=math.inf)
-    scaled = design / scale
-    coeffs_scaled, _, rank, singular = np.linalg.lstsq(scaled, y, rcond=None)
-    if singular[-1] <= 0.0 or rank < exps.size:
+    columns = [[v / s for v in col] for col, s in zip(design, scale)]
+    squares, v = _jacobi_svd(columns)
+    sigma_max, sigma_min = math.sqrt(max(squares)), math.sqrt(min(squares))
+    if sigma_min <= sys.float_info.epsilon * max(len(x), len(exps)) * sigma_max:
         raise IllConditionedFitError(
             "rank-deficient design matrix", condition_estimate=math.inf)
-    cond = float(singular[0] / singular[-1])
+    cond = sigma_max / sigma_min
     if cond > _COND_MAX:
         raise IllConditionedFitError(
             f"condition estimate {cond:.3e} exceeds limit {_COND_MAX:.3e}",
             condition_estimate=cond)
-    coefficients = coeffs_scaled / scale
-    return coefficients, float(np.linalg.norm(y - design @ coefficients)), cond
+    # V Sigma^-1 U^T y = V Sigma^-2 (A V)^T y, then undo the column scales
+    weights = [_dot(col, y) / sq for col, sq in zip(columns, squares)]
+    coefficients = tuple(_dot(row, weights) / s
+                         for row, s in zip(zip(*v), scale))
+    residuals = [yi - _dot(row, coefficients)
+                 for yi, row in zip(y, zip(*design))]
+    return coefficients, math.hypot(*residuals), cond
 
 
 def jacobian_fd(

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .numerics import (
     PrecisionLossError,
+    TailBoundError,
     check_positive_finite,
     fit_linear_basis,
     integrate_semi_infinite,
@@ -43,6 +43,7 @@ from .numerics import (
 from .units import NATURAL, UnitSystem
 
 if TYPE_CHECKING:
+    from fractions import Fraction
     import numpy as np
 
 __all__ = [
@@ -151,6 +152,7 @@ def bernoulli_numbers(h_max: int) -> tuple[Fraction, ...]:
     rational arithmetic.  The B_1 = -1/2 convention matches the generating
     function x / (e^x - 1).
     """
+    from fractions import Fraction
     if h_max < 4:
         raise ValueError("h_max must be at least 4")
     values = [Fraction(1)]
@@ -178,8 +180,8 @@ def _series_table(h_max: int) -> tuple[tuple[int, Fraction], ...]:
     table = []
     for h in range(h_max + 1):
         sign = -1 if h % 2 else 1
-        coeff = (Fraction(-sign * (h - 1) * (h - 2), 2) * bernoulli[h]
-                 / math.factorial(h))
+        coeff = (bernoulli[h] * (-sign * (h - 1) * (h - 2))
+                 / (2 * math.factorial(h)))
         if coeff != 0:
             table.append((h, coeff))
     return tuple(table)
@@ -272,11 +274,6 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     big_m = ns[:, None] * math.pi / a
     beta = lam * big_m
     scale = 1.0 / beta**2 + 2.0 / beta
-    if not np.isfinite(scale).all():
-        # every abscissa would be inf and every node NaN
-        raise PrecisionLossError(
-            f"lambda*pi/a = {lam * math.pi / a:.3e}: the exp-sinh scale "
-            "1/beta^2 of the numeric_sum radial integrals overflows")
     kernel = integrate_semi_infinite(integrand, tol, scale=scale,
                                      params=(beta,))
     return 0.5 * big_m[:, 0] * kernel.value
@@ -294,12 +291,12 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     route.
 
     Raises ValueError for a tol below 1e-15 (_MIN_NUMERIC_TOL), which the
-    quadrature cannot meet, PrecisionLossError before any integral when
-    lambda pi / a is so small (below about 7.5e-155) that a row's
-    quadrature scale overflows, TailBoundError if 4000 terms
-    (_NUMERIC_N_MAX) cannot meet the bound (lambda too small),
-    QuadratureError if an integral fails and FloatingPointError if a term
-    is not finite.
+    quadrature cannot meet.  Before any integral it raises
+    PrecisionLossError when lambda pi / a is so small (below about
+    7.5e-155) that a row's quadrature scale overflows, and TailBoundError
+    when 4000 terms (_NUMERIC_N_MAX) cannot meet the bound (lambda pi / a
+    below about 0.0075 at the default tol).  Raises QuadratureError if an
+    integral fails and FloatingPointError if a term is not finite.
     """
     import numpy as np
     check_positive_finite("a", a)
@@ -309,6 +306,22 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
                          "smallest the numeric_sum route can meet")
     lam = reg.lam
     pref = _prefactor(a, units)
+    ratio = lam * math.pi / a
+    with np.errstate(over="ignore", divide="ignore"):
+        beta = np.float64(lam) * (math.pi / a)
+        if not np.isfinite(1.0 / beta**2 + 2.0 / beta):  # inf abscissae
+            raise PrecisionLossError(
+                f"lambda*pi/a = {ratio:.3e}: the exp-sinh scale 1/beta^2 "
+                "of the numeric_sum radial integrals overflows")
+    # a stop needs tail_bound(n) <= tol |F| <= tol tail_bound(0); their
+    # ratio, in which the prefactor and (1 - q)^3 cancel, stays finite
+    q, x, n = math.exp(-ratio), -math.expm1(-ratio), _NUMERIC_N_MAX
+    relative = math.exp(-n * ratio) * (1.0 + n * x * (2.0 + n * x) / (1.0 + q))
+    if relative > 2.0 * tol:  # twice, for rounding, as the sum's own check
+        raise TailBoundError(
+            f"lambda*pi/a = {ratio:.3e} is below the {n}-term budget: tail "
+            f"bound {relative:.3e} |F| still above tol*|F| after {n} terms",
+            partial_sum=0.0, bound=relative * abs(pref) / lam * q * (1 + q) / x / x / x)
 
     def terms(ns: np.ndarray) -> np.ndarray:
         # Extreme a or lambda overflow the prefactor, M, beta or the scale.
@@ -459,7 +472,6 @@ def extract_finite_part(a: float,
     IllConditionedFitError for grids (clustered points, say) on which the
     basis functions become collinear.
     """
-    import numpy as np
     check_positive_finite("a", a)
     lams = sorted({reg.lam if isinstance(reg, Regulator) else float(reg)
                    for reg in lambda_grid})
@@ -474,23 +486,19 @@ def extract_finite_part(a: float,
             raise ValueError(
                 f"lambda = {lam:g} gives lambda*pi/a = {ratio:.3g} outside "
                 f"the supported window [{lo:g}, {hi:g}]")
-    # the fit divides the lam**-4 column by its 2-norm; inside the window a
-    # positive finite norm also keeps every entry a normal double
-    with np.errstate(over="ignore", under="ignore"):
-        pole_norm = np.linalg.norm(np.power(lams, -4.0))
+    # the fit divides the lam**-4 column by its 2-norm; inside the window, a
+    # sum of squares in range keeps every entry normal and the fit finite
+    try:
+        pole_norm = math.sqrt(math.fsum((lam ** -4.0) ** 2 for lam in lams))
+    except OverflowError:
+        pole_norm = math.inf
     if not 0.0 < pole_norm < math.inf:
         raise PrecisionLossError(
             f"extract at a = {a!r}: the lambda**-4 column of the fit leaves "
             "the double range")
     samples = [(lam, force_closed_form(a, Regulator(lam), units))
                for lam in lams]
-    c, residual_norm, condition_estimate = fit_linear_basis(samples,
-                                                            BASIS_EXPONENTS)
-    return ExtractedForce(
-        coefficients=tuple(float(v) for v in c),
-        residual_norm=residual_norm,
-        condition_estimate=condition_estimate,
-    )
+    return ExtractedForce(*fit_linear_basis(samples, BASIS_EXPONENTS))
 
 
 def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,

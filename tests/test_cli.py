@@ -311,9 +311,11 @@ def test_cli_import_leaves_scipy_out():
     # numpy too: the package and the CLI import only what their top levels
     # need, and array code imports numpy where it runs; no layer but units
     # and numerics either, since each command imports its own layers, and
-    # no dataclasses or fractions, which only regsum uses
+    # no dataclasses or fractions, which only regsum uses, and no json,
+    # which only JSON output uses
     probe = ("import sys\n"
-             "left_out = {'numpy', 'scipy', 'dataclasses', 'fractions'}\n"
+             "left_out = {'numpy', 'scipy', 'dataclasses', 'fractions',\n"
+             "            'json'}\n"
              "left_out |= {'casimir_plates.' + m for m in\n"
              "             ('modes', 'stress', 'regsum', 'verify')}\n"
              "for name in ('casimir_plates', 'casimir_plates.cli'):\n"
@@ -347,7 +349,7 @@ COMMAND_LAYERS = [
     (["force", "--a", "1", "--lambda", "0.1", "--route", "series"],
      _FORCE_ONLY),
     (["sweep", "--a", "0.5,1", "--lambda", "0.05,0.1"], _FORCE_ONLY),
-    (["extract", "--a", "1"], _FORCE_ONLY),
+    (["extract", "--a", "1"], _FORCE_ONLY + ["numpy", "fractions"]),
     (["modes", "--n-max", "2"], ["casimir_plates.regsum", "fractions",
                                  "casimir_plates.verify", "dataclasses"]),
     (["verify"], ["dataclasses"]),
@@ -375,7 +377,7 @@ def test_route_help_lists_exactly_the_routes(command, label):
 
 
 #: Commands that use only math: closed-form and series forces, the
-#: closed-form sweep, and the mode table.
+#: closed-form sweep, the mode table and the finite-part fit.
 NUMPY_FREE_ARGV = [
     ["force", "--a", "1", "--lambda", "0.1", "--route", "closed_form",
      "--json"],
@@ -383,6 +385,9 @@ NUMPY_FREE_ARGV = [
     ["modes", "--n-max", "3", "--format", "json"],
     ["sweep", "--a", "0.5,1,2", "--lambda", "0.005,0.02,0.1,0.3",
      "--routes", "closed_form", "--format", "json"],
+    ["extract", "--a", "1", "--json"],
+    ["extract", "--a", "1", "--lambda-grid",
+     "0.004,0.01,0.02,0.05,0.1,0.15", "--json"],
 ]
 
 #: Runs cli.main on argv[2:] and reports what sys.modules holds under
@@ -484,6 +489,8 @@ ONE_LINE_FAILURES = [
     (["force", "--a", "1", "--lambda", "1e-200", "--route", "numeric_sum"],
      2, "lambda*pi/a = 3.142e-200: the exp-sinh scale 1/beta^2 of the "
      "numeric_sum radial integrals overflows"),
+    (["force", "--a", "1", "--lambda", "1e-30", "--route", "numeric_sum"],
+     2, "lambda*pi/a = 3.142e-30 is below the 4000-term budget"),
     (["modes", "--n-max", "0"], 2, "n_max must be at least 1, got 0"),
     (["modes", "--n-max", "-2"], 2, "n_max must be at least 1, got -2"),
     (["sweep", "--a", "1", "--lambda", "0.1", "--routes", ","], 2,

@@ -250,6 +250,9 @@ class TestSumUntilTailBound:
         assert abs(total - exact) <= 2e-10 * exact
 
 
+_EXPONENT_POOL = (-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
 class TestFitLinearBasis:
     def test_recovers_exact_coefficients(self):
         exponents = (-4.0, 0.0, 1.0, 2.0)
@@ -283,6 +286,47 @@ class TestFitLinearBasis:
         samples = [(-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
         with pytest.raises(ValueError):
             fit_linear_basis(samples, (-4.0, 0.0))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_agrees_with_lapack(self, seed):
+        # a seeded design of 4..10 samples and 2..4 mixed exponents, compared
+        # in the equilibrated coordinates the fit solves in
+        rng = np.random.default_rng(seed)
+        m, k = int(rng.integers(4, 11)), int(rng.integers(2, 5))
+        exponents = tuple(rng.choice(_EXPONENT_POOL, k, replace=False).tolist())
+        x = np.exp(rng.uniform(math.log(0.5), math.log(4.0), m))
+        y = rng.normal(size=m)
+        design = np.power.outer(x, exponents)
+        scale = np.linalg.norm(design, axis=0)
+        singular = np.linalg.svd(design / scale, compute_uv=False)
+        cond = singular[0] / singular[-1]
+        reference = np.linalg.lstsq(design / scale, y, rcond=None)[0]
+        coefficients, residual_norm, condition_estimate = fit_linear_basis(
+            zip(x.tolist(), y.tolist()), exponents)
+        assert type(coefficients) is tuple
+        assert all(type(c) is float for c in coefficients)
+        allowed = (10 * k * cond * np.finfo(float).eps * np.linalg.norm(y)
+                   / singular[-1])
+        assert np.abs(np.multiply(coefficients, scale) - reference).max() <= allowed
+        assert condition_estimate == pytest.approx(cond, rel=1e-12)
+        assert residual_norm == pytest.approx(
+            np.linalg.norm(y - design @ (reference / scale)), abs=allowed)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_samples_rejected(self, bad, column):
+        samples = [[x, 2.0 * x] for x in (0.5, 1.0, 1.5, 2.0)]
+        samples[2][column] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            fit_linear_basis(samples, (0.0, 1.0))
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        # one sweep leaves the default extract design still rotating
+        monkeypatch.setattr(numerics, "_JACOBI_SWEEPS", 1)
+        samples = [(x, x) for x in np.linspace(0.5, 2.0, 6)]
+        with pytest.raises(IllConditionedFitError,
+                           match="still rotating after 1 sweeps"):
+            fit_linear_basis(samples, (-4.0, 0.0, 1.0, 2.0))
 
     def test_condition_grows_with_clustering(self):
         exponents = (-4.0, 0.0, 1.0, 2.0)

@@ -196,11 +196,36 @@ class TestNumericSum:
             pass
 
     def test_tail_bound_exhaustion(self):
-        # at lambda pi / a = 0.006 the sum needs more than its 4000 terms
+        # at lambda pi / a = 0.006 the sum needs more than its 4000 terms,
+        # which the budget check sees before the first term is summed
         with pytest.raises(TailBoundError) as info:
             force_sum_numeric(1.0, Regulator(0.006 / math.pi), NATURAL)
         assert info.value.bound > 0.0
-        assert info.value.partial_sum < 0.0
+        assert info.value.partial_sum == 0.0
+
+    @pytest.mark.parametrize("ratio", [1e-150, 1e-100, 1e-20, 1e-10, 1e-5,
+                                       0.006])
+    def test_budget_shortfall_fails_before_any_integral(self, ratio,
+                                                        monkeypatch):
+        # |F| <= tail_bound(0), so no stop within 4000 terms is possible
+        calls = []
+        kernel = regsum.integrate_semi_infinite
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(regsum, "integrate_semi_infinite", counting_kernel)
+        with pytest.raises(TailBoundError,
+                           match=f"lambda\\*pi/a = {ratio:.3e} is below the "
+                                 "4000-term budget"):
+            force_sum_numeric(1.0, Regulator(ratio / math.pi), NATURAL)
+        assert calls == []
+
+    def test_converges_just_above_the_budget(self):
+        reg = Regulator(0.0075 / math.pi)
+        numeric = force_sum_numeric(1.0, reg, NATURAL, tol=1e-10)
+        assert numeric == pytest.approx(force_closed_form(1.0, reg), rel=1e-9)
 
     def test_unreachable_tolerance_fails_after_first_block(self, monkeypatch):
         # the bound after 4000 terms already exceeds tol * |sum| once the
@@ -329,6 +354,24 @@ class TestExtraction:
                 if nominal * math.pi / a <= 0.5:
                     assert lam == nominal
             extract_finite_part(a, grid)
+
+    def test_matches_lapack_reference_on_default_grids(self):
+        # the fit as LAPACK solves it: equilibrated columns, SVD lstsq; the
+        # finite part inherits the conditioning of y, dominated by lam**-4
+        for a in np.linspace(0.5, 2.0, 300).tolist():
+            grid = default_lambda_grid(a)
+            y = [force_closed_form(a, Regulator(lam)) for lam in grid]
+            design = np.power.outer(grid, BASIS_EXPONENTS)
+            scale = np.linalg.norm(design, axis=0)
+            scaled, _, _, singular = np.linalg.lstsq(design / scale, y,
+                                                     rcond=None)
+            divergent, finite = (scaled / scale)[:2]
+            result = extract_finite_part(a, grid)
+            assert result.finite_part == pytest.approx(finite, rel=1e-7)
+            assert result.divergent_coefficient == pytest.approx(divergent,
+                                                                 rel=1e-12)
+            assert result.condition_estimate == pytest.approx(
+                singular[0] / singular[-1], rel=1e-12)
 
     def test_clustered_grid_is_ill_conditioned(self):
         grid = [(0.3 + i * 1e-6) / math.pi for i in range(5)]

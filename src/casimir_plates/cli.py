@@ -20,16 +20,18 @@ not converge or an input was rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
 import re
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 # each command imports the layers it runs, so that start-up pays for no
 # other
-from .numerics import IllConditionedFitError, NumericsError, PrecisionLossError
+from .numerics import (IllConditionedFitError, NumericsError,
+                       PrecisionLossError, parallel_map)
 from .units import get_units
 
 SCHEMA_VERSION = 1
@@ -201,27 +203,51 @@ def cmd_force(args, cfg) -> int:
     return 0
 
 
+def _sweep_cell(a: float, lam: float, route: str, units,
+                tol: float) -> tuple[dict, str | None]:
+    """One sweep row, with the stderr line that reports it if it failed."""
+    try:
+        return _force_row(a, lam, route, units, tol), None
+    except (NumericsError, PrecisionLossError) as exc:
+        return ({"a": a, "lambda": lam, "route": route, "error": str(exc)},
+                f"sweep: a={a:g} lambda={lam:g} route={route}: {exc}")
+
+
 def cmd_sweep(args, cfg) -> int:
     units = _setting(args.units, "units", cfg, get_units)
     tol = _setting(args.tol, "tol", cfg, float)
     a_values = _setting(args.a, "sweep_a", cfg, _float_list)
     lam_values = _setting(args.lam, "sweep_lambda", cfg, _float_list)
     routes = _setting(args.routes, "sweep_routes", cfg, _str_list)
+    # fixed emission order: separation, then cutoff, then route
+    cells = list(itertools.product(a_values, lam_values, routes))
+
+    def numeric_cell(i: int) -> tuple[dict, str | None] | ValueError:
+        try:
+            return _sweep_cell(*cells[i], units, tol)
+        except ValueError as exc:
+            return exc  # a rejected input, raised below in emission order
+
+    # the numeric_sum cells run first, over all CPUs, the costliest first:
+    # a cell's work grows like 1 / (lambda pi / a); the others take
+    # microseconds and load no numpy
+    numeric = sorted((i for i, cell in enumerate(cells)
+                      if cell[2] == "numeric_sum"),
+                     key=lambda i: cells[i][1] / cells[i][0] if cells[i][0]
+                     else math.inf)
+    done = dict(zip(numeric, parallel_map(numeric_cell, numeric)))
 
     rows = []
     failures = 0
-    # fixed emission order: separation, then cutoff, then route
-    for a in a_values:
-        for lam in lam_values:
-            for route in routes:
-                try:
-                    rows.append(_force_row(a, lam, route, units, tol))
-                except (NumericsError, PrecisionLossError) as exc:
-                    failures += 1
-                    print(f"sweep: a={a:g} lambda={lam:g} route={route}: {exc}",
-                          file=sys.stderr)
-                    rows.append({"a": a, "lambda": lam, "route": route,
-                                 "error": str(exc)})
+    for i, cell in enumerate(cells):
+        outcome = done[i] if i in done else _sweep_cell(*cell, units, tol)
+        if isinstance(outcome, ValueError):
+            raise outcome
+        row, line = outcome
+        rows.append(row)
+        if line is not None:
+            failures += 1
+            print(line, file=sys.stderr)
 
     if args.format == "json":
         _print_json({"schema_version": SCHEMA_VERSION, "command": "sweep",
@@ -402,5 +428,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The ``casimir`` script: main(), then exit without interpreter teardown.
+
+    Output is flushed here; os._exit then skips the garbage collection and
+    module teardown that a normal exit spends after the work is done.  A
+    flush that fails (a closed pipe) reports one line and exits 2, as main
+    does for any other OSError.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = 2
+        with contextlib.suppress(OSError):
+            print(f"casimir: {exc}", file=sys.stderr, flush=True)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,12 +12,14 @@ fail; nothing else reads it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
 
 from . import modes, regsum, stress
-from .numerics import jacobian_fd, mean_over_box, mean_over_rectangle
+from .numerics import (jacobian_fd, mean_over_box, mean_over_rectangle,
+                       parallel_map)
 from .units import NATURAL, UnitSystem
 
 __all__ = ["CheckResult", "run_all", "PROFILES"]
@@ -343,22 +345,25 @@ def run_all(profile: str = "default", *, units: UnitSystem = NATURAL,
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     s = 0.1 if profile == "strict" else 1.0
-    return [
-        check_boundary_zeros(units),
-        check_transversality(units),
-        check_fd_divergence(units, scale=s),
-        check_fd_divergence_rate(units),
-        check_bulk_mean_square(units, scale=s),
-        check_boundary_mean_squares(units, scale=s),
-        check_curl_consistency(units),
-        check_sigma_negative(units),
-        check_sigma_oracle(units, sigma_factor=sigma_factor, scale=s),
-        check_sigma_direction_independence(units, scale=s),
-        check_sigma_plate_symmetry(units, scale=s),
-        check_az_cancellation(units),
-        check_bernoulli_generating_function(),
-        check_route_agreement(units, scale=s),
-        check_asymptotic_split(units),
-        check_divergent_coefficient_stability(units),
-        check_finite_part_scaling(units),
+    checks = [
+        functools.partial(check_boundary_zeros, units),
+        functools.partial(check_transversality, units),
+        functools.partial(check_fd_divergence, units, scale=s),
+        functools.partial(check_fd_divergence_rate, units),
+        functools.partial(check_bulk_mean_square, units, scale=s),
+        functools.partial(check_boundary_mean_squares, units, scale=s),
+        functools.partial(check_curl_consistency, units),
+        functools.partial(check_sigma_negative, units),
+        functools.partial(check_sigma_oracle, units, sigma_factor=sigma_factor,
+                          scale=s),
+        functools.partial(check_sigma_direction_independence, units, scale=s),
+        functools.partial(check_sigma_plate_symmetry, units, scale=s),
+        functools.partial(check_az_cancellation, units),
+        check_bernoulli_generating_function,
+        functools.partial(check_route_agreement, units, scale=s),
+        functools.partial(check_asymptotic_split, units),
+        functools.partial(check_divergent_coefficient_stability, units),
+        functools.partial(check_finite_part_scaling, units),
     ]
+    # the checks are independent, so they run over all CPUs
+    return parallel_map(lambda check: check(), checks)

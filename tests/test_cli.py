@@ -215,6 +215,61 @@ class TestVerifyCommand:
             doc["checks"][0])
 
 
+#: Commands whose work is spread over the CPUs: verify, and a sweep with
+#: an error row (lambda pi / a below the 4000-term budget at a = 0.5 and
+#: 1), and one that rejects two of its inputs, where the first rejection in
+#: emission order names tol, not a.
+PARALLEL_ARGV = [
+    ["verify", "--json"],
+    ["verify", "--inject-fault"],
+    ["sweep", "--a", "0.5,1", "--lambda", "0.001,0.05,0.2",
+     "--routes", "numeric_sum,closed_form"],
+    ["sweep", "--a", "1,-1", "--lambda", "0.1,0.2", "--routes",
+     "numeric_sum", "--tol", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", PARALLEL_ARGV, ids=" ".join)
+def test_output_does_not_depend_on_cpu_count(argv, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        outputs.append(_run_quietly(argv))
+        assert len(forks) == len(cpus) - 1
+        forks.clear()
+    assert outputs[0] == outputs[1]
+    if argv[-1] == "nan":
+        assert outputs[0] == (2, "", "casimir: tol must be positive and "
+                                     "finite, got nan\n")
+
+
+def test_script_exit_reports_a_failed_flush():
+    # stdout is a buffered pipe whose reader is gone, so the output first
+    # reaches it in the flush at exit, which fails
+    reader, writer = os.pipe()
+    os.close(reader)
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "casimir_plates.cli", "force", "--a", "1",
+             "--lambda", "0.1"], stdout=writer, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=60)
+    finally:
+        os.close(writer)
+    assert done.returncode == 2
+    assert done.stderr == "casimir: [Errno 32] Broken pipe\n"
+
+
 class TestConfigPrecedence:
     def test_config_file_sets_sweep_grid(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "casimir.cfg"
@@ -392,10 +447,15 @@ NUMPY_FREE_ARGV = [
 
 #: Runs cli.main on argv[2:] and reports what sys.modules holds under
 #: "numpy" on stderr; with argv[1] == "blocked", importing numpy raises.
+#: It reports two CPUs, and a fork fails the command.
 _NUMPY_PROBE = """\
-import sys
+import os, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
+def no_fork():
+    raise AssertionError("a math command forked")
+os.fork = no_fork
+os.sched_getaffinity = lambda pid: {0, 1}
 from casimir_plates.cli import main
 code = main(sys.argv[2:])
 print(sys.modules.get("numpy"), file=sys.stderr)

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -16,6 +19,7 @@ from casimir_plates.numerics import (
     jacobian_fd,
     mean_over_box,
     mean_over_rectangle,
+    parallel_map,
     sum_until_tail_bound,
 )
 
@@ -404,6 +408,95 @@ class TestGridMeans:
             return leggauss(n)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        # the counter sees only this process, so no check may run in a
+        # forked worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         numerics._gl_reference.cache_clear()
         verify.run_all("default")
         assert calls and max(calls.values()) == 1
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_worker(caller_pid):
+    """True in a forked worker; the caller sleeps, so workers take items."""
+    if os.getpid() != caller_pid:
+        return True
+    time.sleep(0.005)
+    return False
+
+
+class TestParallelMap:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+
+    def test_matches_serial_in_order(self):
+        caller = os.getpid()
+
+        def square(x):
+            _in_worker(caller)
+            return x * x, os.getpid()
+
+        got = parallel_map(square, range(30))
+        _assert_no_children()
+        assert [value for value, _ in got] == [x * x for x in range(30)]
+        # the items were spread: some ran outside the caller
+        assert {pid for _, pid in got} - {caller}
+
+    def test_worker_exception_raised_again_in_caller(self):
+        caller = os.getpid()
+
+        def fail_from_four(x):
+            _in_worker(caller)
+            if x >= 4:
+                raise TailBoundError(f"item {x}", partial_sum=x, bound=2.0 * x)
+            return x
+
+        with pytest.raises(TailBoundError, match=r"^item 4$") as info:
+            parallel_map(fail_from_four, range(12))
+        _assert_no_children()
+        assert (info.value.partial_sum, info.value.bound) == (4, 8.0)
+
+    def test_killed_worker_still_yields_every_result(self, tmp_path):
+        caller = os.getpid()
+
+        def die_in_worker(x):
+            if _in_worker(caller) and x >= 3:
+                (tmp_path / f"killed-{x}").touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return -x
+
+        assert parallel_map(die_in_worker, range(20)) == [-x for x in range(20)]
+        _assert_no_children()
+        assert list(tmp_path.iterdir())
+
+    def test_interrupted_caller_kills_its_workers(self):
+        caller = os.getpid()
+
+        def interrupt_caller(x):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60.0)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            parallel_map(interrupt_caller, range(6))
+        assert time.monotonic() - start < 30.0
+        _assert_no_children()
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert parallel_map(abs, [-2, -1, 0, 1]) == [2, 1, 0, 1]
+        assert parallel_map(abs, []) == []

@@ -12,8 +12,9 @@ fits), verify the cross-layer self-checks, and cli the command line.
 
 The package loads each layer on first use: importing it runs no layer, and
 a public name below imports its layer when it is first looked up.  Every
-function that works on arrays imports numpy itself, so the closed-form,
-series and mode-table paths never load it.
+function that works on arrays imports numpy itself (verify, whose every run
+uses arrays, at its top), so the closed-form, series and mode-table paths
+never load it.
 """
 
 import importlib

@@ -121,7 +121,7 @@ def _hfmt(value: float) -> str:
     return "%.6g" % _finite(value)
 
 
-def _print_csv(columns: Sequence[str], rows: list[dict], out) -> None:
+def _print_csv(columns: Sequence[str], rows: list[dict]) -> None:
     # formatted in full before the first line goes out, so a refused value
     # leaves no partial table behind
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
@@ -136,35 +136,32 @@ def _print_csv(columns: Sequence[str], rows: list[dict], out) -> None:
             else:
                 cells.append(str(value))
         lines.append(",".join(cells))
-    print("\n".join(lines), file=out)
+    print("\n".join(lines))
 
 
-def _print_json(document: dict, out) -> None:
+def _print_json(command: str, units, fields: dict) -> None:
+    """One JSON document: the versioned envelope and the command's fields."""
     import json
-    print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False),
-          file=out)
+    document = {"schema_version": SCHEMA_VERSION, "command": command,
+                "units": units.name, **fields}
+    print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args, cfg, units) -> int:
     from . import verify
-    units = _setting(args.units, "units", cfg, get_units)
     sigma_factor = 1.02 if args.inject_fault else 1.0
     results = verify.run_all(args.profile, units=units,
                              sigma_factor=sigma_factor)
     if args.json:
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
+        _print_json("verify", units, {
             "profile": args.profile,
-            "units": units.name,
             "passed": all(r.passed for r in results),
             "checks": [
                 {"name": r.name, "residual": r.residual, "bound": r.bound,
                  "passed": r.passed, "detail": r.detail}
                 for r in results
             ],
-        }
-        _print_json(document, sys.stdout)
+        })
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -185,15 +182,13 @@ def _force_row(a: float, lam: float, route: str, units, tol: float) -> dict:
         force.finite_part, force.remainder, force.error_estimate)))
 
 
-def cmd_force(args, cfg) -> int:
-    units = _setting(args.units, "units", cfg, get_units)
+def cmd_force(args, cfg, units) -> int:
     tol = _setting(args.tol, "tol", cfg, float)
     a = _parse(args.a, "--a", float)
     lam = _parse(args.lam, "--lambda", float)
     row = _force_row(a, lam, args.route, units, tol)
     if args.json:
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "force",
-                     "units": units.name, "row": row}, sys.stdout)
+        _print_json("force", units, {"row": row})
     else:
         for col in SWEEP_COLUMNS:
             value = row[col]
@@ -203,18 +198,7 @@ def cmd_force(args, cfg) -> int:
     return 0
 
 
-def _sweep_cell(a: float, lam: float, route: str, units,
-                tol: float) -> tuple[dict, str | None]:
-    """One sweep row, with the stderr line that reports it if it failed."""
-    try:
-        return _force_row(a, lam, route, units, tol), None
-    except (NumericsError, PrecisionLossError) as exc:
-        return ({"a": a, "lambda": lam, "route": route, "error": str(exc)},
-                f"sweep: a={a:g} lambda={lam:g} route={route}: {exc}")
-
-
-def cmd_sweep(args, cfg) -> int:
-    units = _setting(args.units, "units", cfg, get_units)
+def cmd_sweep(args, cfg, units) -> int:
     tol = _setting(args.tol, "tol", cfg, float)
     a_values = _setting(args.a, "sweep_a", cfg, _float_list)
     lam_values = _setting(args.lam, "sweep_lambda", cfg, _float_list)
@@ -222,11 +206,17 @@ def cmd_sweep(args, cfg) -> int:
     # fixed emission order: separation, then cutoff, then route
     cells = list(itertools.product(a_values, lam_values, routes))
 
-    def numeric_cell(i: int) -> tuple[dict, str | None] | ValueError:
+    def outcome(i: int) -> tuple[dict, str | None] | ValueError:
+        """Cell i's row and the stderr line that reports its failure, if it
+        failed; or its rejected input, raised below in emission order."""
+        a, lam, route = cells[i]
         try:
-            return _sweep_cell(*cells[i], units, tol)
+            return _force_row(a, lam, route, units, tol), None
+        except (NumericsError, PrecisionLossError) as exc:
+            return ({"a": a, "lambda": lam, "route": route, "error": str(exc)},
+                    f"sweep: a={a:g} lambda={lam:g} route={route}: {exc}")
         except ValueError as exc:
-            return exc  # a rejected input, raised below in emission order
+            return exc
 
     # the numeric_sum cells run first, over all CPUs, the costliest first:
     # a cell's work grows like 1 / (lambda pi / a); the others take
@@ -235,31 +225,29 @@ def cmd_sweep(args, cfg) -> int:
                       if cell[2] == "numeric_sum"),
                      key=lambda i: cells[i][1] / cells[i][0] if cells[i][0]
                      else math.inf)
-    done = dict(zip(numeric, parallel_map(numeric_cell, numeric)))
+    done = dict(zip(numeric, parallel_map(outcome, numeric)))
 
     rows = []
     failures = 0
-    for i, cell in enumerate(cells):
-        outcome = done[i] if i in done else _sweep_cell(*cell, units, tol)
-        if isinstance(outcome, ValueError):
-            raise outcome
-        row, line = outcome
+    for i in range(len(cells)):
+        result = done[i] if i in done else outcome(i)
+        if isinstance(result, ValueError):
+            raise result
+        row, line = result
         rows.append(row)
         if line is not None:
             failures += 1
             print(line, file=sys.stderr)
 
     if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "sweep",
-                     "units": units.name, "rows": rows}, sys.stdout)
+        _print_json("sweep", units, {"rows": rows})
     else:
-        _print_csv(SWEEP_COLUMNS, rows, sys.stdout)
+        _print_csv(SWEEP_COLUMNS, rows)
     return 2 if failures else 0
 
 
-def cmd_extract(args, cfg) -> int:
+def cmd_extract(args, cfg, units) -> int:
     from . import regsum
-    units = _setting(args.units, "units", cfg, get_units)
     a = _parse(args.a, "--a", float)
     if args.lambda_grid is not None:
         grid = _parse(args.lambda_grid, "--lambda-grid", _float_list)
@@ -269,9 +257,6 @@ def cmd_extract(args, cfg) -> int:
     reference = regsum.casimir_closed_form(a, units)
     rel_error = abs(result.finite_part - reference) / reference
     document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "extract",
-        "units": units.name,
         "a": a,
         "lambda_grid": grid,
         "finite_part": result.finite_part,
@@ -284,20 +269,17 @@ def cmd_extract(args, cfg) -> int:
         "condition_estimate": result.condition_estimate,
     }
     if args.json:
-        _print_json(document, sys.stdout)
+        _print_json("extract", units, document)
     else:
-        print(f"a = {_hfmt(a)}")
-        print(f"finite_part = {_hfmt(result.finite_part)}")
-        print(f"casimir_closed_form = {_hfmt(reference)}")
-        print(f"finite_part_rel_error = {_hfmt(rel_error)}")
-        print(f"divergent_coefficient = {_hfmt(result.divergent_coefficient)}")
-        print(f"condition_estimate = {_hfmt(result.condition_estimate)}")
+        for key in ("a", "finite_part", "casimir_closed_form",
+                    "finite_part_rel_error", "divergent_coefficient",
+                    "condition_estimate"):
+            print(f"{key} = {_hfmt(document[key])}")
     return 0
 
 
-def cmd_modes(args, cfg) -> int:
+def cmd_modes(args, cfg, units) -> int:
     from . import modes, stress
-    units = _setting(args.units, "units", cfg, get_units)
     n_max = _parse(args.n_max, "--n-max", int)
     a, big_l = _parse(args.a, "--a", float), _parse(args.big_l, "--L", float)
     if n_max < 1:
@@ -318,11 +300,9 @@ def cmd_modes(args, cfg) -> int:
                 "sigma_zz leaves the double range")
         rows.append(dict(zip(MODES_COLUMNS, (*n, *values))))
     if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "modes",
-                     "units": units.name, "a": geom.a, "L": geom.L,
-                     "rows": rows}, sys.stdout)
+        _print_json("modes", units, {"a": geom.a, "L": geom.L, "rows": rows})
     else:
-        _print_csv(MODES_COLUMNS, rows, sys.stdout)
+        _print_csv(MODES_COLUMNS, rows)
     return 0
 
 
@@ -416,7 +396,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         cfg = _load_config(args.config)
-        return args.handler(args, cfg)
+        return args.handler(args, cfg, _setting(args.units, "units", cfg,
+                                                get_units))
     except IllConditionedFitError as exc:
         print(f"casimir: fit failed: {exc}", file=sys.stderr)
         return 1

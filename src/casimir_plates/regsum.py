@@ -508,9 +508,11 @@ def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,
 
     Routes: 'closed_form' (error at rounding level), 'numeric_sum' (error
     from the summation tolerance ``tol``), 'series' (error from the first
-    omitted term).  Raises PrecisionLossError, naming the route, a and
-    lambda, when a field of the record would overflow or be non-finite.
+    omitted term).  Every route rejects a tol that is not positive and
+    finite.  Raises PrecisionLossError, naming the route, a and lambda,
+    when a field of the record would overflow or be non-finite.
     """
+    check_positive_finite("tol", tol)
     try:
         if route == "closed_form":
             total = force_closed_form(a, reg, units)

@@ -217,8 +217,10 @@ class TestVerifyCommand:
 
 #: Commands whose work is spread over the CPUs: verify, and a sweep with
 #: an error row (lambda pi / a below the 4000-term budget at a = 0.5 and
-#: 1), and one that rejects two of its inputs, where the first rejection in
-#: emission order names tol, not a.
+#: 1), and two that reject several of their inputs, where the first
+#: rejection in emission order names tol, not a, and the unknown route of
+#: a cell that runs in the caller, not the a of the numeric cells that ran
+#: before it.
 PARALLEL_ARGV = [
     ["verify", "--json"],
     ["verify", "--inject-fault"],
@@ -226,7 +228,17 @@ PARALLEL_ARGV = [
      "--routes", "numeric_sum,closed_form"],
     ["sweep", "--a", "1,-1", "--lambda", "0.1,0.2", "--routes",
      "numeric_sum", "--tol", "nan"],
+    ["sweep", "--a", "-1", "--lambda", "0.1,0.2", "--routes",
+     "bogus,numeric_sum"],
 ]
+
+#: The one line of each PARALLEL_ARGV that rejects an input, by its last
+#: token.
+FIRST_REJECTION = {
+    "nan": "casimir: tol must be positive and finite, got nan\n",
+    "bogus,numeric_sum": "casimir: unknown route 'bogus'; expected one of "
+                         "('closed_form', 'numeric_sum', 'series')\n",
+}
 
 
 @pytest.mark.parametrize("argv", PARALLEL_ARGV, ids=" ".join)
@@ -247,9 +259,29 @@ def test_output_does_not_depend_on_cpu_count(argv, monkeypatch):
         assert len(forks) == len(cpus) - 1
         forks.clear()
     assert outputs[0] == outputs[1]
-    if argv[-1] == "nan":
-        assert outputs[0] == (2, "", "casimir: tol must be positive and "
-                                     "finite, got nan\n")
+    if argv[-1] in FIRST_REJECTION:
+        assert outputs[0] == (2, "", FIRST_REJECTION[argv[-1]])
+
+
+#: One call of each command that writes a JSON document.
+JSON_ARGV = [
+    ["verify", "--json"],
+    ["force", "--a", "1", "--lambda", "0.1", "--json"],
+    ["sweep", "--a", "1", "--lambda", "0.1", "--format", "json"],
+    ["extract", "--a", "1", "--json"],
+    ["modes", "--n-max", "1", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("units", ["natural", "si"])
+@pytest.mark.parametrize("argv", JSON_ARGV, ids=" ".join)
+def test_json_document_carries_the_envelope(capsys, argv, units):
+    code, out, _ = run_cli(capsys, *argv, "--units", units)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema_version"] == 1
+    assert doc["command"] == argv[0]
+    assert doc["units"] == units
 
 
 def test_script_exit_reports_a_failed_flush():
@@ -572,6 +604,11 @@ ONE_LINE_FAILURES = [
      "casimir: --a: could not convert string to float: 'x'\n"),
     (["force", "--a", "1", "--lambda", "0.1", "--tol", "abc"], 2,
      "casimir: --tol: could not convert string to float: 'abc'\n"),
+    # tol is checked on every route, not only where numeric_sum reads it
+    (["force", "--a", "1", "--lambda", "0.1", "--tol", "-1"], 2,
+     "casimir: tol must be positive and finite, got -1.0\n"),
+    (["sweep", "--a", "1", "--lambda", "0.1", "--routes", "series", "--tol",
+      "0"], 2, "casimir: tol must be positive and finite, got 0.0\n"),
     (["modes", "--n-max", "2.5"], 2,
      "casimir: --n-max: invalid literal for int() with base 10: '2.5'\n"),
     # a value outside its domain is named by the library check

@@ -40,3 +40,23 @@ def test_boundary_check_fails_against_a_scaled_mean(monkeypatch, units, name):
     assert result.name == "boundary_mean_squares"
     assert not result.passed
     assert result.residual > 1e-9
+
+
+#: The checks whose bounds the strict profile divides by 10.
+TIGHTENED = {"fd_divergence_zero", "bulk_mean_square_E",
+             "boundary_mean_squares", "sigma_oracle_agreement",
+             "sigma_direction_independence", "sigma_plate_symmetry",
+             "route_agreement"}
+
+
+@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
+def test_strict_profile_tightens_exactly_the_named_bounds(units):
+    default = verify.run_all("default", units=units)
+    strict = verify.run_all("strict", units=units)
+    assert ([(r.name, r.residual, r.detail) for r in strict]
+            == [(r.name, r.residual, r.detail) for r in default])
+    assert len(default) == 17
+    assert TIGHTENED <= {r.name for r in default}
+    for loose, tight in zip(default, strict):
+        want = 0.1 * loose.bound if loose.name in TIGHTENED else loose.bound
+        assert tight.bound == want, loose.name

@@ -8,13 +8,16 @@ The attraction emerges in three layers, each exposed on its own:
            pi^2 hbar c / (240 a^4).
 
 numerics holds the shared kernels (quadrature, tail-bounded sums, basis
-fits), verify the cross-layer self-checks, and cli the command line.
+fits), errors the error types and the shared input check, verify the
+cross-layer self-checks, and cli the command line.
 
 The package loads each layer on first use: importing it runs no layer, and
 a public name below imports its layer when it is first looked up.  Every
 function that works on arrays imports numpy itself (verify, whose every run
-uses arrays, at its top), so the closed-form, series and mode-table paths
-never load it.
+uses arrays, at its top), and every function that runs a kernel imports it
+from numerics, so the closed-form, series and mode-table paths load neither
+numpy nor numerics.  The exact tables of regsum are built in integers, and
+only the functions that return Fractions load fractions.
 """
 
 import importlib

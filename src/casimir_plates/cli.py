@@ -30,8 +30,7 @@ from typing import Any, Callable, NoReturn, Sequence
 
 # each command imports the layers it runs, so that start-up pays for no
 # other
-from .numerics import (IllConditionedFitError, NumericsError,
-                       PrecisionLossError, parallel_map)
+from .errors import IllConditionedFitError, NumericsError, PrecisionLossError
 from .units import get_units
 
 SCHEMA_VERSION = 1
@@ -220,12 +219,15 @@ def cmd_sweep(args, cfg, units) -> int:
 
     # the numeric_sum cells run first, over all CPUs, the costliest first:
     # a cell's work grows like 1 / (lambda pi / a); the others take
-    # microseconds and load no numpy
+    # microseconds and load neither numpy nor the kernels
     numeric = sorted((i for i, cell in enumerate(cells)
                       if cell[2] == "numeric_sum"),
                      key=lambda i: cells[i][1] / cells[i][0] if cells[i][0]
                      else math.inf)
-    done = dict(zip(numeric, parallel_map(outcome, numeric)))
+    done = {}
+    if numeric:
+        from .numerics import parallel_map
+        done = dict(zip(numeric, parallel_map(outcome, numeric)))
 
     rows = []
     failures = 0
@@ -416,7 +418,13 @@ def run() -> NoReturn:
     module teardown that a normal exit spends after the work is done.  A
     flush that fails (a closed pipe) reports one line and exits 2, as main
     does for any other OSError.
+
+    OpenBLAS starts a pool of one thread per CPU when numpy loads; no array
+    here is large enough to gain from it, and its threads spin on the CPUs
+    that parallel_map's workers use.  So the script asks for one thread,
+    unless OPENBLAS_NUM_THREADS is already set.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     try:
         sys.stdout.flush()

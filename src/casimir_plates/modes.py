@@ -34,7 +34,7 @@ import math
 import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numerics import check_positive_finite, jacobian_fd
+from .errors import check_positive_finite
 from .units import UnitSystem
 
 if TYPE_CHECKING:
@@ -323,6 +323,7 @@ def divergence_residual(point, wv: WaveVector, amp: ModeAmplitudes,
     The trace of jacobian_fd's Jacobian, added left to right.  Vanishes to
     O(step^2) for transverse amplitudes.
     """
+    from .numerics import jacobian_fd
     jac = jacobian_fd(lambda p: electric_mode_at(p, wv, amp), point, step)
     return float(jac[0, 0]) + float(jac[1, 1]) + float(jac[2, 2])
 

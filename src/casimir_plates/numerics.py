@@ -10,6 +10,11 @@ The exp-sinh kernel has one calling convention: it integrates a block of
 rows, one integral per row scale, at most 8 levels deep, and returns arrays
 of shape (m,); a scalar scale is a block of one row.  The Gauss-Legendre
 means integrate one function and return floats.
+
+The error types the kernels raise, and check_positive_finite, live in
+errors and are re-exported here.  The other layers import each kernel
+inside the function that calls it, so that a command which runs none of
+them never compiles this module.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import os
 import sys
 from typing import (TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn,
                     Sequence, TypeVar)
+
+from .errors import (IllConditionedFitError, NumericsError, PrecisionLossError,
+                     QuadratureError, TailBoundError, check_positive_finite)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,52 +55,6 @@ __all__ = [
 #: are meaningless when the true value is zero; below this magnitude an
 #: integral is accepted as converged.
 ABS_FLOOR = 1e-30
-
-
-class NumericsError(Exception):
-    """Base class for failures of the numerical kernels."""
-
-
-class QuadratureError(NumericsError):
-    """Quadrature did not reach the requested tolerance.
-
-    Carries the best value obtained and its achieved error estimate so
-    callers can decide whether the partial answer is still usable.
-    """
-
-    def __init__(self, message: str, value: float | np.ndarray,
-                 error_estimate: float | np.ndarray, evaluations: int):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-        self.evaluations = evaluations
-
-
-class TailBoundError(NumericsError):
-    """A truncated sum's tail bound never dropped below tolerance."""
-
-    def __init__(self, message: str, partial_sum: float, bound: float):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.bound = bound
-
-
-class IllConditionedFitError(NumericsError):
-    """Least-squares design matrix too ill-conditioned to trust."""
-
-    def __init__(self, message: str, condition_estimate: float):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
-
-class PrecisionLossError(ValueError):
-    """A value lost to cancellation, or a result out of double range."""
-
-
-def check_positive_finite(name: str, value: float) -> None:
-    """Reject a length, cutoff or tolerance that is not positive and finite."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class QuadratureResult(NamedTuple):

@@ -32,14 +32,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .numerics import (
-    PrecisionLossError,
-    TailBoundError,
-    check_positive_finite,
-    fit_linear_basis,
-    integrate_semi_infinite,
-    sum_until_tail_bound,
-)
+from .errors import PrecisionLossError, TailBoundError, check_positive_finite
 from .units import NATURAL, UnitSystem
 
 if TYPE_CHECKING:
@@ -145,23 +138,38 @@ class ExtractedForce(NamedTuple):
         return self.coefficients[1]
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, for den > 0."""
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
+def _bernoulli_pairs(h_max: int) -> list[tuple[int, int]]:
+    """B_0..B_h_max as reduced (numerator, denominator) pairs, den > 0.
+
+    The recurrence of bernoulli_numbers, solved for B_m in integers over
+    the least common denominator of B_0..B_{m-1}.
+    """
+    if h_max < 4:
+        raise ValueError("h_max must be at least 4")
+    pairs = [(1, 1)]
+    for m in range(1, h_max + 1):
+        common = math.lcm(*(den for _, den in pairs))
+        acc = sum(math.comb(m + 1, j) * num * (common // den)
+                  for j, (num, den) in enumerate(pairs))
+        pairs.append(_reduced(-acc, common * (m + 1)))
+    return pairs
+
+
 def bernoulli_numbers(h_max: int) -> tuple[Fraction, ...]:
     """Bernoulli numbers B_0..B_h_max, as Fractions, by the defining recurrence.
 
     Uses sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, solved for B_m with exact
-    rational arithmetic.  The B_1 = -1/2 convention matches the generating
+    integer arithmetic.  The B_1 = -1/2 convention matches the generating
     function x / (e^x - 1).
     """
     from fractions import Fraction
-    if h_max < 4:
-        raise ValueError("h_max must be at least 4")
-    values = [Fraction(1)]
-    for m in range(1, h_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * values[j]
-        values.append(-acc / (m + 1))
-    return tuple(values)
+    return tuple(Fraction(num, den) for num, den in _bernoulli_pairs(h_max))
 
 
 def series_coefficients(h_max: int) -> dict[int, Fraction]:
@@ -171,19 +179,23 @@ def series_coefficients(h_max: int) -> dict[int, Fraction]:
     series_terms.  Returns a new dict {h: Fraction}, h increasing, built
     from a table computed once per h_max (h_max >= 4).
     """
-    return dict(_series_table(h_max))
+    from fractions import Fraction
+    return {h: Fraction(num, den) for h, num, den in _series_table(h_max)}
 
 
 @functools.lru_cache(maxsize=8)
-def _series_table(h_max: int) -> tuple[tuple[int, Fraction], ...]:
-    bernoulli = bernoulli_numbers(h_max)
+def _series_table(h_max: int) -> tuple[tuple[int, int, int], ...]:
+    """(h, numerator, denominator) of each non-vanishing coefficient, reduced.
+
+    num / den is the correctly rounded double of the coefficient, as
+    float(Fraction(num, den)) is, without loading fractions.
+    """
     table = []
-    for h in range(h_max + 1):
+    for h, (num, den) in enumerate(_bernoulli_pairs(h_max)):
         sign = -1 if h % 2 else 1
-        coeff = (bernoulli[h] * (-sign * (h - 1) * (h - 2))
-                 / (2 * math.factorial(h)))
-        if coeff != 0:
-            table.append((h, coeff))
+        num *= -sign * (h - 1) * (h - 2)
+        if num:
+            table.append((h, *_reduced(num, 2 * math.factorial(h) * den)))
     return tuple(table)
 
 
@@ -263,6 +275,8 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     exp-sinh scale of each row is the sum of the two decay lengths.
     """
     import numpy as np
+    from .numerics import integrate_semi_infinite
+
     def integrand(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
         root = z + 1.0
         np.sqrt(root, out=root)
@@ -299,6 +313,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     integral fails and FloatingPointError if a term is not finite.
     """
     import numpy as np
+    from .numerics import sum_until_tail_bound
     check_positive_finite("a", a)
     check_positive_finite("tol", tol)
     if tol < _MIN_NUMERIC_TOL:
@@ -338,6 +353,7 @@ def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
                     *, tol: float = 1e-12) -> float:
     """Regularized force per unit area by summing the exact per-n terms."""
     import numpy as np
+    from .numerics import sum_until_tail_bound
     check_positive_finite("a", a)
     lam = reg.lam
 
@@ -398,9 +414,9 @@ def series_terms(a: float, reg: Regulator, h_max: int,
         raise ValueError("h_max must be at least 5 to reach past the "
                          "finite part")
     lam = reg.lam
-    return {h: (float(coeff) * units.hbar_c * math.pi ** (h - 2)
+    return {h: (num / den * units.hbar_c * math.pi ** (h - 2)
                 * a ** (-h) * lam ** (h - 4))
-            for h, coeff in _series_table(h_max)}
+            for h, num, den in _series_table(h_max)}
 
 
 def series_value(a: float, reg: Regulator,
@@ -427,9 +443,9 @@ def asymptotic_parts(a: float,
     + hbar c pi^2 / (240 a^4), whose magnitude is the Casimir pressure.
     """
     check_positive_finite("a", a)
-    coeffs = series_coefficients(4)
-    return (float(coeffs[0]) * units.hbar_c / math.pi**2,
-            float(coeffs[4]) * units.hbar_c * math.pi**2 / a**4)
+    coeffs = {h: num / den for h, num, den in _series_table(4)}
+    return (coeffs[0] * units.hbar_c / math.pi**2,
+            coeffs[4] * units.hbar_c * math.pi**2 / a**4)
 
 
 def casimir_closed_form(a: float, units: UnitSystem = NATURAL) -> float:
@@ -472,6 +488,7 @@ def extract_finite_part(a: float,
     IllConditionedFitError for grids (clustered points, say) on which the
     basis functions become collinear.
     """
+    from .numerics import fit_linear_basis
     check_positive_finite("a", a)
     lams = sorted({reg.lam if isinstance(reg, Regulator) else float(reg)
                    for reg in lambda_grid})

@@ -31,7 +31,6 @@ from .modes import (
     mode_amplitudes,
     wave_vector,
 )
-from .numerics import mean_over_rectangle
 from .units import UnitSystem
 
 if TYPE_CHECKING:
@@ -88,6 +87,7 @@ def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     Non-convergent quadrature raises QuadratureError carrying the achieved
     error estimate.
     """
+    from .numerics import mean_over_rectangle
     if plate not in ("bottom", "top"):
         raise ValueError(f"plate must be 'bottom' or 'top', got {plate!r}")
     wv = wave_vector(mode, geom)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import regsum
+from casimir_plates import cli, regsum
 from casimir_plates.cli import main
 from casimir_plates.units import SI
 
@@ -302,6 +302,22 @@ def test_script_exit_reports_a_failed_flush():
     assert done.stderr == "casimir: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_script_asks_openblas_for_one_thread(monkeypatch, preset, threads):
+    seen = []
+    # set first, so that the variable run() sets is undone afterwards
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    monkeypatch.setattr(
+        cli, "main", lambda: seen.append(os.environ["OPENBLAS_NUM_THREADS"]))
+    monkeypatch.setattr(os, "_exit", seen.append)
+    cli.run()
+    assert seen == [threads, None]
+
+
 class TestConfigPrecedence:
     def test_config_file_sets_sweep_grid(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "casimir.cfg"
@@ -397,14 +413,15 @@ def _src_env(**extra):
 def test_cli_import_leaves_scipy_out():
     # numpy too: the package and the CLI import only what their top levels
     # need, and array code imports numpy where it runs; no layer but units
-    # and numerics either, since each command imports its own layers, and
+    # and errors either, since each command imports its own layers, and
     # no dataclasses or fractions, which only regsum uses, and no json,
     # which only JSON output uses
     probe = ("import sys\n"
              "left_out = {'numpy', 'scipy', 'dataclasses', 'fractions',\n"
              "            'json'}\n"
              "left_out |= {'casimir_plates.' + m for m in\n"
-             "             ('modes', 'stress', 'regsum', 'verify')}\n"
+             "             ('modes', 'stress', 'regsum', 'verify',\n"
+             "              'numerics')}\n"
              "for name in ('casimir_plates', 'casimir_plates.cli'):\n"
              "    __import__(name)\n"
              "    print(name, sorted(left_out & set(sys.modules)))")
@@ -427,18 +444,23 @@ sys.exit(code)
 
 _FORCE_ONLY = ["casimir_plates.modes", "casimir_plates.stress",
                "casimir_plates.verify", "dataclasses"]
+#: The closed-form and series paths also run no numerical kernel and no
+#: exact-fraction arithmetic.
+_KERNEL_FREE = _FORCE_ONLY + ["casimir_plates.numerics", "fractions",
+                              "decimal"]
 
 #: Each command with the modules it must not load: the force commands
 #: need neither the fields nor the stress, the mode table no mode sums,
 #: and no command the dataclasses machinery.
 COMMAND_LAYERS = [
-    (["force", "--a", "1", "--lambda", "0.1"], _FORCE_ONLY),
+    (["force", "--a", "1", "--lambda", "0.1"], _KERNEL_FREE),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "series"],
-     _FORCE_ONLY),
-    (["sweep", "--a", "0.5,1", "--lambda", "0.05,0.1"], _FORCE_ONLY),
+     _KERNEL_FREE),
+    (["sweep", "--a", "0.5,1", "--lambda", "0.05,0.1"], _KERNEL_FREE),
     (["extract", "--a", "1"], _FORCE_ONLY + ["numpy", "fractions"]),
     (["modes", "--n-max", "2"], ["casimir_plates.regsum", "fractions",
-                                 "casimir_plates.verify", "dataclasses"]),
+                                 "casimir_plates.verify", "dataclasses",
+                                 "casimir_plates.numerics"]),
     (["verify"], ["dataclasses"]),
 ]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import regsum
+from casimir_plates import numerics, regsum
 from casimir_plates.numerics import (
     IllConditionedFitError,
     QuadratureError,
@@ -147,7 +147,7 @@ class TestNumericSum:
         # at these cutoffs the sum stops past its first block of 64 terms
         integrated, counts = [], []
         radial = regsum._radial_integrals
-        block_sum = regsum.sum_until_tail_bound
+        block_sum = numerics.sum_until_tail_bound
 
         def counting_radial(a, lam, ns, tol):
             integrated.append(np.size(ns))
@@ -173,7 +173,7 @@ class TestNumericSum:
             raise AssertionError("the running sum did not stop")
 
         monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
-        monkeypatch.setattr(regsum, "sum_until_tail_bound", counting_sum)
+        monkeypatch.setattr(numerics, "sum_until_tail_bound", counting_sum)
         force_sum_numeric(1.0, Regulator(ratio / math.pi), NATURAL, tol=1e-10)
         (rows, summed), = counts
         assert summed <= rows <= 1.05 * summed
@@ -209,13 +209,14 @@ class TestNumericSum:
                                                         monkeypatch):
         # |F| <= tail_bound(0), so no stop within 4000 terms is possible
         calls = []
-        kernel = regsum.integrate_semi_infinite
+        kernel = numerics.integrate_semi_infinite
 
         def counting_kernel(*args, **kwargs):
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(regsum, "integrate_semi_infinite", counting_kernel)
+        monkeypatch.setattr(numerics, "integrate_semi_infinite",
+                            counting_kernel)
         with pytest.raises(TailBoundError,
                            match=f"lambda\\*pi/a = {ratio:.3e} is below the "
                                  "4000-term budget"):
@@ -247,7 +248,7 @@ class TestNumericSum:
         # at lambda pi / a = 3.1e-200 the exp-sinh scale 1/beta^2 of the
         # first row is inf, so every abscissa would be inf
         calls = []
-        monkeypatch.setattr(regsum, "integrate_semi_infinite",
+        monkeypatch.setattr(numerics, "integrate_semi_infinite",
                             lambda *args, **kwargs: calls.append(args))
         with pytest.raises(PrecisionLossError,
                            match=r"lambda\*pi/a = 3\.142e-200: the exp-sinh "
@@ -283,6 +284,32 @@ class TestSeries:
     def test_coefficients_are_fresh_dicts(self):
         series_coefficients(8)[4] = Fraction(0)
         assert series_coefficients(8)[4] == Fraction(1, 240)
+
+    @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
+    def test_integer_table_matches_fraction_recurrence(self, units):
+        # reference: the recurrence and the series coefficient in Fractions
+        a, lam = 0.7, 0.1
+        for h_max in range(4, 41):
+            bernoulli = [Fraction(1)]
+            for m in range(1, h_max + 1):
+                bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j]
+                                      for j in range(m)) / (m + 1))
+            coefficients = {
+                h: b * (-(-1) ** h * (h - 1) * (h - 2)) / (2 * math.factorial(h))
+                for h, b in enumerate(bernoulli)}
+            want = {h: c for h, c in coefficients.items() if c != 0}
+            assert bernoulli_numbers(h_max) == tuple(bernoulli)
+            assert regsum._series_table(h_max) == tuple(
+                (h, c.numerator, c.denominator) for h, c in want.items())
+            assert series_coefficients(h_max) == want
+            if h_max >= 5:
+                assert series_terms(a, Regulator(lam), h_max, units) == {
+                    h: (float(c) * units.hbar_c * math.pi ** (h - 2)
+                        * a ** (-h) * lam ** (h - 4))
+                    for h, c in want.items()}
+        assert asymptotic_parts(a, units) == (
+            float(Fraction(-1)) * units.hbar_c / math.pi**2,
+            float(Fraction(1, 240)) * units.hbar_c * math.pi**2 / a**4)
 
     def test_series_approximates_closed_form(self):
         a, reg = 1.0, Regulator(0.05 / math.pi)

@@ -16,8 +16,8 @@ a public name below imports its layer when it is first looked up.  Every
 function that works on arrays imports numpy itself (verify, whose every run
 uses arrays, at its top), and every function that runs a kernel imports it
 from numerics, so the closed-form, series and mode-table paths load neither
-numpy nor numerics.  The exact tables of regsum are built in integers, and
-only the functions that return Fractions load fractions.
+numpy nor numerics.  The exact tables of regsum are reduced integer
+(numerator, denominator) pairs, computed and returned in plain ints.
 """
 
 import importlib

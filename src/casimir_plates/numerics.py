@@ -12,9 +12,9 @@ of shape (m,); a scalar scale is a block of one row.  The Gauss-Legendre
 means integrate one function and return floats.
 
 The error types the kernels raise, and check_positive_finite, live in
-errors and are re-exported here.  The other layers import each kernel
-inside the function that calls it, so that a command which runs none of
-them never compiles this module.
+errors, the one module to import them from.  The other layers import each
+kernel inside the function that calls it, so that a command which runs
+none of them never compiles this module.
 """
 
 from __future__ import annotations
@@ -28,20 +28,14 @@ import sys
 from typing import (TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn,
                     Sequence, TypeVar)
 
-from .errors import (IllConditionedFitError, NumericsError, PrecisionLossError,
-                     QuadratureError, TailBoundError, check_positive_finite)
+from .errors import (IllConditionedFitError, QuadratureError, TailBoundError,
+                     check_positive_finite)
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "NumericsError",
-    "QuadratureError",
-    "TailBoundError",
-    "IllConditionedFitError",
-    "PrecisionLossError",
     "QuadratureResult",
-    "check_positive_finite",
     "integrate_semi_infinite",
     "sum_until_tail_bound",
     "fit_linear_basis",

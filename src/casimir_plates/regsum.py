@@ -36,14 +36,12 @@ from .errors import PrecisionLossError, TailBoundError, check_positive_finite
 from .units import NATURAL, UnitSystem
 
 if TYPE_CHECKING:
-    from fractions import Fraction
     import numpy as np
 
 __all__ = [
     "Regulator",
     "RegularizedForce",
     "ExtractedForce",
-    "PrecisionLossError",
     "ROUTES",
     "BASIS_EXPONENTS",
     "bernoulli_numbers",
@@ -144,11 +142,13 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // common, den // common
 
 
-def _bernoulli_pairs(h_max: int) -> list[tuple[int, int]]:
-    """B_0..B_h_max as reduced (numerator, denominator) pairs, den > 0.
+def bernoulli_numbers(h_max: int) -> tuple[tuple[int, int], ...]:
+    """Bernoulli numbers B_0..B_h_max by the defining recurrence.
 
-    The recurrence of bernoulli_numbers, solved for B_m in integers over
-    the least common denominator of B_0..B_{m-1}.
+    Each B_m is a reduced (numerator, denominator) pair of ints, den > 0.
+    Uses sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, solved for B_m in
+    integers over the least common denominator of B_0..B_{m-1}.  The
+    B_1 = -1/2 convention matches the generating function x / (e^x - 1).
     """
     if h_max < 4:
         raise ValueError("h_max must be at least 4")
@@ -158,40 +158,29 @@ def _bernoulli_pairs(h_max: int) -> list[tuple[int, int]]:
         acc = sum(math.comb(m + 1, j) * num * (common // den)
                   for j, (num, den) in enumerate(pairs))
         pairs.append(_reduced(-acc, common * (m + 1)))
-    return pairs
+    return tuple(pairs)
 
 
-def bernoulli_numbers(h_max: int) -> tuple[Fraction, ...]:
-    """Bernoulli numbers B_0..B_h_max, as Fractions, by the defining recurrence.
-
-    Uses sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, solved for B_m with exact
-    integer arithmetic.  The B_1 = -1/2 convention matches the generating
-    function x / (e^x - 1).
-    """
-    from fractions import Fraction
-    return tuple(Fraction(num, den) for num, den in _bernoulli_pairs(h_max))
-
-
-def series_coefficients(h_max: int) -> dict[int, Fraction]:
+def series_coefficients(h_max: int) -> dict[int, tuple[int, int]]:
     """Exact coefficients of the non-vanishing series orders h <= h_max.
 
     The order-h coefficient is -(1/2) (B_h / h!) (-1)^h (h-1)(h-2); see
-    series_terms.  Returns a new dict {h: Fraction}, h increasing, built
-    from a table computed once per h_max (h_max >= 4).
+    series_terms.  Returns a new dict {h: (numerator, denominator)}, h
+    increasing, each pair reduced, read from a table computed once per
+    h_max (h_max >= 4).
     """
-    from fractions import Fraction
-    return {h: Fraction(num, den) for h, num, den in _series_table(h_max)}
+    return {h: (num, den) for h, num, den in _series_table(h_max)}
 
 
 @functools.lru_cache(maxsize=8)
 def _series_table(h_max: int) -> tuple[tuple[int, int, int], ...]:
     """(h, numerator, denominator) of each non-vanishing coefficient, reduced.
 
-    num / den is the correctly rounded double of the coefficient, as
-    float(Fraction(num, den)) is, without loading fractions.
+    The int division num / den is the correctly rounded double of the
+    coefficient.
     """
     table = []
-    for h, (num, den) in enumerate(_bernoulli_pairs(h_max)):
+    for h, (num, den) in enumerate(bernoulli_numbers(h_max)):
         sign = -1 if h % 2 else 1
         num *= -sign * (h - 1) * (h - 2)
         if num:

@@ -270,8 +270,8 @@ def check_bernoulli_generating_function() -> CheckResult:
     table = regsum.bernoulli_numbers(20)
     worst = 0.0
     for x in (0.1, 0.5, 1.0):
-        partial = sum(float(table[h]) * x**h / math.factorial(h)
-                      for h in range(21))
+        partial = sum(num / den * x**h / math.factorial(h)
+                      for h, (num, den) in enumerate(table))
         exact = x / math.expm1(x)
         worst = max(worst, abs(partial - exact) / abs(exact))
     return _result("bernoulli_generating_function", worst, 1e-12)

@@ -414,7 +414,7 @@ def test_cli_import_leaves_scipy_out():
     # numpy too: the package and the CLI import only what their top levels
     # need, and array code imports numpy where it runs; no layer but units
     # and errors either, since each command imports its own layers, and
-    # no dataclasses or fractions, which only regsum uses, and no json,
+    # no dataclasses or fractions, which no layer uses, and no json,
     # which only JSON output uses
     probe = ("import sys\n"
              "left_out = {'numpy', 'scipy', 'dataclasses', 'fractions',\n"
@@ -433,9 +433,13 @@ def test_cli_import_leaves_scipy_out():
 
 
 #: Runs cli.main on argv[2:] and prints on stderr which of the modules
-#: named by the JSON list argv[1] sys.modules holds afterwards.
+#: named by the JSON list argv[1] sys.modules holds afterwards.  It runs on
+#: one CPU, so that parallel_map computes every item in this process, where
+#: sys.modules sees what the item imports.
 _MODULES_PROBE = """\
-import json, sys
+import json, os, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from casimir_plates.cli import main
 code = main(sys.argv[2:])
 print(sorted(set(json.loads(sys.argv[1])) & set(sys.modules)), file=sys.stderr)
@@ -451,7 +455,7 @@ _KERNEL_FREE = _FORCE_ONLY + ["casimir_plates.numerics", "fractions",
 
 #: Each command with the modules it must not load: the force commands
 #: need neither the fields nor the stress, the mode table no mode sums,
-#: and no command the dataclasses machinery.
+#: and no command the dataclasses machinery or exact fractions.
 COMMAND_LAYERS = [
     (["force", "--a", "1", "--lambda", "0.1"], _KERNEL_FREE),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "series"],
@@ -461,7 +465,7 @@ COMMAND_LAYERS = [
     (["modes", "--n-max", "2"], ["casimir_plates.regsum", "fractions",
                                  "casimir_plates.verify", "dataclasses",
                                  "casimir_plates.numerics"]),
-    (["verify"], ["dataclasses"]),
+    (["verify"], ["dataclasses", "fractions", "decimal"]),
 ]
 
 

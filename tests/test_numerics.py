@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import numerics, verify
-from casimir_plates.numerics import (
+from casimir_plates.errors import (
     IllConditionedFitError,
     QuadratureError,
     TailBoundError,
+)
+from casimir_plates.numerics import (
     fit_linear_basis,
     integrate_semi_infinite,
     jacobian_fd,

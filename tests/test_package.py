@@ -1,5 +1,8 @@
 """The public API of the package and the contract of its result records."""
 
+import importlib
+import inspect
+import json
 import math
 import re
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import casimir_plates
-from casimir_plates import modes, numerics, regsum, units, verify
+from casimir_plates import errors, modes, numerics, regsum, units, verify
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -116,5 +119,33 @@ def test_invalid_record_arguments_keep_their_messages(build, message):
 
 
 def test_precision_loss_error_has_one_home():
-    assert regsum.PrecisionLossError is numerics.PrecisionLossError
-    assert issubclass(numerics.PrecisionLossError, ValueError)
+    with pytest.raises(errors.PrecisionLossError, match="closed form"):
+        regsum.decompose(1.0, regsum.Regulator(1e-9))
+    assert issubclass(errors.PrecisionLossError, ValueError)
+    # errors is the one place to import them from: no layer lists them
+    for layer in (numerics, regsum):
+        assert set(layer.__all__).isdisjoint(errors.__all__)
+        assert not [name for name in layer.__all__
+                    if isinstance(getattr(layer, name), type)
+                    and issubclass(getattr(layer, name), Exception)]
+
+
+#: The layers whose public functions the benchmark's traced replay wraps.
+_TRACED_LAYERS = ("cli", "regsum", "numerics", "stress", "modes", "verify")
+
+
+def test_benchmark_per_layer_metrics_name_public_functions():
+    # bench/run.py --trace 1 stops on a per-layer metric
+    # <layer>.<function>.<kind> whose function it did not wrap, so renaming
+    # or hiding one of these functions breaks the benchmark
+    spec = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    names = [metric["name"].split(".") for metric in
+             json.loads(spec.read_text(encoding="utf-8"))["per_layer"]]
+    traced = [name[:2] for name in names
+              if len(name) == 3 and name[0] in _TRACED_LAYERS]
+    assert traced
+    for layer, function in traced:
+        module = importlib.import_module(f"casimir_plates.{layer}")
+        value = getattr(module, function, None)
+        assert (inspect.isfunction(value) and not function.startswith("_")
+                and value.__module__ == module.__name__), f"{layer}.{function}"

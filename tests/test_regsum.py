@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import numerics, regsum
-from casimir_plates.numerics import (
+from casimir_plates.errors import (
     IllConditionedFitError,
+    PrecisionLossError,
     QuadratureError,
     TailBoundError,
 )
 from casimir_plates.regsum import (
     BASIS_EXPONENTS,
-    PrecisionLossError,
     Regulator,
     asymptotic_parts,
     bernoulli_numbers,
@@ -39,20 +39,22 @@ cutoff_ratios = st.floats(min_value=0.05, max_value=2.0)
 class TestBernoulli:
     def test_first_values_exact(self):
         table = bernoulli_numbers(8)
-        assert table[0] == Fraction(1)
-        assert table[1] == Fraction(-1, 2)
-        assert table[2] == Fraction(1, 6)
-        assert table[3] == 0
-        assert table[4] == Fraction(-1, 30)
-        assert table[5] == 0
-        assert table[6] == Fraction(1, 42)
-        assert table[8] == Fraction(-1, 30)
+        assert table[0] == (1, 1)
+        assert table[1] == (-1, 2)
+        assert table[2] == (1, 6)
+        assert table[3] == (0, 1)
+        assert table[4] == (-1, 30)
+        assert table[5] == (0, 1)
+        assert table[6] == (1, 42)
+        assert table[8] == (-1, 30)
 
     def test_twelfth_value(self):
-        assert bernoulli_numbers(12)[12] == Fraction(-691, 2730)
+        assert bernoulli_numbers(12)[12] == (-691, 2730)
 
-    def test_values_are_fractions(self):
-        assert all(isinstance(v, Fraction) for v in bernoulli_numbers(6))
+    def test_values_are_reduced_integer_pairs(self):
+        for num, den in bernoulli_numbers(6):
+            assert type(num) is int and type(den) is int
+            assert den > 0 and math.gcd(num, den) == 1
 
     def test_rejects_small_h_max(self):
         with pytest.raises(ValueError):
@@ -62,8 +64,8 @@ class TestBernoulli:
         # B_0 = 1 and every odd B_i from i = 3 on vanishes
         table = bernoulli_numbers(30)
         assert len(table) == 31
-        assert table[0] == 1
-        assert all(table[i] == 0 for i in range(3, 31, 2))
+        assert table[0] == (1, 1)
+        assert all(table[i] == (0, 1) for i in range(3, 31, 2))
 
 
 class TestRegulator:
@@ -264,10 +266,10 @@ class TestSeries:
 
     def test_exact_coefficients(self):
         terms = series_coefficients(8)
-        assert terms[0] == Fraction(-1)
-        assert terms[4] == Fraction(1, 240)
-        assert terms[6] == Fraction(-1, 3024)
-        assert terms[8] == Fraction(1, 57600)
+        assert terms[0] == (-1, 1)
+        assert terms[4] == (1, 240)
+        assert terms[6] == (-1, 3024)
+        assert terms[8] == (1, 57600)
 
     def test_finite_term_value(self):
         terms = series_terms(1.0, Regulator(0.1), 8)
@@ -282,8 +284,8 @@ class TestSeries:
             series_coefficients(3)
 
     def test_coefficients_are_fresh_dicts(self):
-        series_coefficients(8)[4] = Fraction(0)
-        assert series_coefficients(8)[4] == Fraction(1, 240)
+        series_coefficients(8)[4] = (0, 1)
+        assert series_coefficients(8)[4] == (1, 240)
 
     @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
     def test_integer_table_matches_fraction_recurrence(self, units):
@@ -298,10 +300,12 @@ class TestSeries:
                 h: b * (-(-1) ** h * (h - 1) * (h - 2)) / (2 * math.factorial(h))
                 for h, b in enumerate(bernoulli)}
             want = {h: c for h, c in coefficients.items() if c != 0}
-            assert bernoulli_numbers(h_max) == tuple(bernoulli)
+            assert bernoulli_numbers(h_max) == tuple(
+                (b.numerator, b.denominator) for b in bernoulli)
             assert regsum._series_table(h_max) == tuple(
                 (h, c.numerator, c.denominator) for h, c in want.items())
-            assert series_coefficients(h_max) == want
+            assert series_coefficients(h_max) == {
+                h: (c.numerator, c.denominator) for h, c in want.items()}
             if h_max >= 5:
                 assert series_terms(a, Regulator(lam), h_max, units) == {
                     h: (float(c) * units.hbar_c * math.pi ** (h - 2)

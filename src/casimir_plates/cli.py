@@ -291,16 +291,17 @@ def cmd_modes(args, cfg, units) -> int:
     for n in itertools.product(range(1, n_max + 1), repeat=3):
         mode = modes.ModeIndex(*n)
         try:
-            values = (modes.wave_vector(mode, geom).kappa,
-                      stress.sigma_zz_mode(mode, geom, units))
-            finite = all(map(math.isfinite, values))
+            kappa = modes.wave_vector(mode, geom).kappa
+            sigma = stress.sigma_zz_mode(mode, geom, units)
+            # sigma_zz is strictly negative, so -0.0 means it underflowed
+            in_range = math.isfinite(kappa) and -math.inf < sigma < 0.0
         except ArithmeticError:
-            finite = False
-        if not finite:
+            in_range = False
+        if not in_range:
             raise PrecisionLossError(
                 f"mode {n} at a = {geom.a!r}, L = {geom.L!r}: kappa or "
                 "sigma_zz leaves the double range")
-        rows.append(dict(zip(MODES_COLUMNS, (*n, *values))))
+        rows.append(dict(zip(MODES_COLUMNS, (*n, kappa, sigma))))
     if args.format == "json":
         _print_json("modes", units, {"a": geom.a, "L": geom.L, "rows": rows})
     else:

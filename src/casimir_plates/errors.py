@@ -1,9 +1,9 @@
 """Error types of the package and its one shared input check.
 
-The kernels in numerics raise NumericsError and its subclasses; the force
-routes raise PrecisionLossError.  They live here, apart from the kernels,
-so that a command can catch them, and a layer can validate its inputs,
-without compiling the kernels it does not run.
+The kernels in numerics raise NumericsError and its subclasses, the force
+routes PrecisionLossError, and modes TransversalityError.  They live here,
+apart from the kernels, so that a command can catch them, and a layer can
+validate its inputs, without compiling the kernels it does not run.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "TailBoundError",
     "IllConditionedFitError",
     "PrecisionLossError",
+    "TransversalityError",
     "check_positive_finite",
 ]
 
@@ -62,6 +63,10 @@ class IllConditionedFitError(NumericsError):
 
 class PrecisionLossError(ValueError):
     """A value lost to cancellation, or a result out of double range."""
+
+
+class TransversalityError(ValueError):
+    """Amplitude vector not orthogonal to the wave vector."""
 
 
 def check_positive_finite(name: str, value: float) -> None:

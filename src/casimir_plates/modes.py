@@ -34,7 +34,7 @@ import math
 import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import check_positive_finite
+from .errors import TransversalityError, check_positive_finite
 from .units import UnitSystem
 
 if TYPE_CHECKING:
@@ -45,7 +45,6 @@ __all__ = [
     "CavityGeometry",
     "WaveVector",
     "ModeAmplitudes",
-    "TransversalityError",
     "wave_vector",
     "mode_amplitudes",
     "electric_mode_at",
@@ -60,10 +59,6 @@ __all__ = [
     "mean_square_E",
     "mean_square_B_boundary",
 ]
-
-
-class TransversalityError(ValueError):
-    """Amplitude vector not orthogonal to the wave vector."""
 
 
 def _sinpi(t):

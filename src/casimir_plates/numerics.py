@@ -1,15 +1,15 @@
-"""Shared numerical kernels: quadrature, tail-bounded sums, fits, FD Jacobian,
-and a map that spreads independent computations over the CPUs.
+"""Shared numerical kernels: quadrature, grid means, tail-bounded sums, fits,
+FD Jacobian, and a map that spreads independent computations over the CPUs.
 
 Every routine here is deterministic (same inputs give bit-identical outputs)
 and reports an explicit error measure, either in its result type or in the
-exception it raises.  The only state kept is the read-only quadrature nodes,
-cached per exp-sinh level and per Gauss-Legendre order.
+exception it raises.  The only state kept is the read-only exp-sinh nodes,
+cached per level.
 
 The exp-sinh kernel has one calling convention: it integrates a block of
 rows, one integral per row scale, at most 8 levels deep, and returns arrays
-of shape (m,); a scalar scale is a block of one row.  The Gauss-Legendre
-means integrate one function and return floats.
+of shape (m,); a scalar scale is a block of one row.  The midpoint-grid
+means average one function of a declared order and return floats.
 
 The error types the kernels raise, and check_positive_finite, live in
 errors, the one module to import them from.  The other layers import each
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 import os
 import sys
@@ -45,14 +46,8 @@ __all__ = [
     "parallel_map",
 ]
 
-#: Absolute error floor for quadrature convergence tests.  Relative tolerances
-#: are meaningless when the true value is zero; below this magnitude an
-#: integral is accepted as converged.
-ABS_FLOOR = 1e-30
-
-
 class QuadratureResult(NamedTuple):
-    """An integral, or a block of integrals, with its error estimate."""
+    """An integral or mean, or a block of integrals, with its error estimate."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -369,66 +364,58 @@ def jacobian_fd(
                      for e in step * np.eye(p.size)], axis=-1)
 
 
-_GL_LEVELS = (8, 16, 32, 64, 128, 256)
+#: Rounding allowance of a midpoint mean, in units of (n_max + 1) mean |f|:
+#: a phase of order n_max is off by about n_max eps.
+_GRID_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
-@functools.lru_cache(maxsize=len(_GL_LEVELS))
-def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
+def _midpoints(n: int, length: float) -> np.ndarray:
+    """The n cell midpoints (j + 1/2) length / n of [0, length]."""
     import numpy as np
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return length * ((np.arange(n) + 0.5) / n)
 
 
 def _grid_mean(f: Callable[..., np.ndarray], lengths: tuple[float, ...],
-               tol: float) -> QuadratureResult:
-    """Mean of f over [0, lengths[0]] x ... by node-doubling Gauss-Legendre.
+               n_max: int) -> QuadratureResult:
+    """Mean of f over [0, lengths[0]] x ... on n_max + 2 midpoints per axis.
 
     ``f`` receives one node array per axis, shaped to broadcast against the
-    others ((n, 1) and (1, n) on a rectangle), and returns the values on the
-    grid.  Levels double while the grid holds at most 128^3 points: up to 256
-    nodes per axis on a rectangle, 128 on a box.  Converged when successive
-    levels agree to ``tol`` relatively (or both fall below the absolute
-    floor); the error estimate is the last inter-level difference.
+    others ((n, 1) and (1, n) on a rectangle).  N midpoints on [0, l]
+    integrate exp(2 pi i m x / l) exactly for |m| < N (Trefethen and
+    Weideman, SIAM Rev. 56 (2014) 385), so the mean is exact up to rounding
+    when f is along each axis a trigonometric polynomial of order at most
+    ``n_max``, as a quadratic form of one cavity mode's fields is with
+    n_max = max(mode).  The estimate is the difference from the mean on
+    n_max + 1 points, large for an f of higher order, plus _GRID_ROUNDING
+    (n_max + 1) mean |f|.  Raises ValueError for an ``n_max`` that is not
+    an integer >= 0 or whose finer grid exceeds 128^3 points.
     """
     import numpy as np
     dims = len(lengths)
-    axes = "ijklmn"[:dims]
-    subscripts = ",".join(axes) + "," + axes + "->"
-    prev = None
-    evaluations = 0
-    estimate = math.inf
-    for n in _GL_LEVELS:
-        if n**dims > 128**3:
-            break
-        x, w = _gl_reference(n)
-        # map [-1, 1] -> [0, length] on each axis
-        vals = f(*np.ix_(*(0.5 * length * (x + 1.0) for length in lengths)))
-        weights = [0.5 * length * w for length in lengths]
-        integral = float(np.einsum(subscripts, *weights, vals))
-        mean = integral / math.prod(lengths)
-        evaluations += n**dims
-        if prev is not None:
-            estimate = abs(mean - prev)
-            if estimate <= max(tol * abs(mean), ABS_FLOOR):
-                return QuadratureResult(mean, estimate, evaluations)
-        prev = mean
-    raise QuadratureError(
-        f"{dims}-D Gauss-Legendre mean did not converge below tol={tol:g}",
-        value=prev, error_estimate=estimate, evaluations=evaluations)
+    if (not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool)
+            or n_max < 0):
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if (n_max + 2)**dims > 128**3:
+        raise ValueError(f"n_max = {n_max} needs {n_max + 2}^{dims} points, "
+                         "above the budget of 128^3")
+    coarse, fine = (f(*np.ix_(*(_midpoints(n, length) for length in lengths)))
+                    for n in (n_max + 1, n_max + 2))
+    mean = float(np.mean(fine))
+    rounding = _GRID_ROUNDING * (n_max + 1) * float(np.mean(np.abs(fine)))
+    return QuadratureResult(mean, abs(mean - float(np.mean(coarse))) + rounding,
+                            (n_max + 1)**dims + (n_max + 2)**dims)
 
 
 def mean_over_rectangle(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        lx: float, ly: float, tol: float) -> QuadratureResult:
+                        lx: float, ly: float, n_max: int) -> QuadratureResult:
     """Mean of f(x, y) over [0,lx] x [0,ly]; see _grid_mean."""
-    return _grid_mean(f, (lx, ly), tol)
+    return _grid_mean(f, (lx, ly), n_max)
 
 
 def mean_over_box(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                  lx: float, ly: float, lz: float, tol: float) -> QuadratureResult:
+                  lx: float, ly: float, lz: float, n_max: int) -> QuadratureResult:
     """Mean of f(x, y, z) over [0,lx] x [0,ly] x [0,lz]; see _grid_mean."""
-    return _grid_mean(f, (lx, ly, lz), tol)
+    return _grid_mean(f, (lx, ly, lz), n_max)
 
 
 _T = TypeVar("_T")

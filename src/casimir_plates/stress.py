@@ -9,7 +9,8 @@ collapses to the closed form
 
 independent of how the mode's amplitude is distributed between the two
 polarizations.  Two other evaluation routes are kept alongside the closed
-form: direct quadrature of the tensor over the plate (sigma_zz_direct) and
+form: a midpoint-grid mean of the tensor over the plate, exact up to
+rounding for the one-mode fields it averages (sigma_zz_direct), and
 assembly from the reduced plate averages of E^2 and B^2
 (sigma_zz_from_boundary_averages).  They exist to check the closed form and
 each other, so none of them shares intermediate results.
@@ -75,17 +76,17 @@ def sigma_zz_mode(mode: ModeIndex, geom: CavityGeometry,
 
 
 def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
-                    tol: float = 1e-10, *, polarization_angle: float = 0.0,
+                    *, polarization_angle: float = 0.0,
                     plate: str = "bottom") -> float:
     """Averaged normal stress by quadrature of the full tensor over a plate.
 
     Builds the mode fields from scratch (generator amplitudes at the given
-    polarization angle), evaluates the stress tensor on a Gauss-Legendre
-    grid over the chosen plate, and averages.  Independent of the algebra
-    behind sigma_zz_mode, which is the point.
-
-    Non-convergent quadrature raises QuadratureError carrying the achieved
-    error estimate.
+    polarization angle), evaluates the stress tensor on the cell midpoints
+    of the plate and averages.  The tensor is quadratic in one mode's
+    fields, so along each axis it is a trigonometric polynomial of order at
+    most max(mode), whose mean numerics.mean_over_rectangle takes exactly
+    up to rounding.  Independent of the algebra behind sigma_zz_mode, which
+    is the point.
     """
     from .numerics import mean_over_rectangle
     if plate not in ("bottom", "top"):
@@ -99,7 +100,7 @@ def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
         b = magnetic_mode_on_grid(xs, ys, z_plane, wv, amp, units)
         return stress_tensor(e, b, units)[..., 2, 2]
 
-    return mean_over_rectangle(plane_zz, geom.L, geom.L, tol).value
+    return mean_over_rectangle(plane_zz, geom.L, geom.L, max(mode)).value
 
 
 def sigma_zz_from_boundary_averages(wv: WaveVector, amp: ModeAmplitudes,

@@ -141,7 +141,7 @@ def check_bulk_mean_square(units: UnitSystem = NATURAL) -> CheckResult:
             expected = modes.mean_square_E(amp, "bulk")
             got = mean_over_box(
                 lambda *xyz: modes.electric_square_on_grid(*xyz, wv, amp),
-                geom.L, geom.L, geom.a, 1e-11).value
+                geom.L, geom.L, geom.a, max(mode)).value
             worst = max(worst, abs(got - expected) / expected)
     return _result("bulk_mean_square_E", worst, 1e-9,
                    "3-D quadrature vs A^2/8, modes n <= 3")
@@ -157,12 +157,12 @@ def check_boundary_mean_squares(units: UnitSystem = NATURAL) -> CheckResult:
             amp = modes.mode_amplitudes(mode, geom, units, 0.8)
             got_e = mean_over_rectangle(
                 lambda xs, ys: modes.electric_square_on_grid(xs, ys, 0.0, wv, amp),
-                geom.L, geom.L, 1e-12).value
+                geom.L, geom.L, max(mode)).value
             want_e = modes.mean_square_E(amp, "boundary")
             got_b = mean_over_rectangle(
                 lambda xs, ys: modes.magnetic_square_on_grid(xs, ys, 0.0, wv, amp,
                                                              units),
-                geom.L, geom.L, 1e-12).value
+                geom.L, geom.L, max(mode)).value
             want_b = modes.mean_square_B_boundary(wv, amp, units)
             norm = modes.amplitude_norm_squared(mode, geom, units)
             worst = max(worst, abs(got_e - want_e) / norm,
@@ -212,7 +212,7 @@ def check_sigma_oracle(units: UnitSystem = NATURAL, *,
     for geom in _GEOMS:
         for mode in _mode_grid(2):
             want = stress.sigma_zz_mode(mode, geom, units) * sigma_factor
-            got = stress.sigma_zz_direct(mode, geom, units, tol=1e-12,
+            got = stress.sigma_zz_direct(mode, geom, units,
                                          polarization_angle=0.5)
             worst = max(worst, abs(got - want) / abs(want))
     return _result("sigma_oracle_agreement", worst, 1e-8,
@@ -223,7 +223,7 @@ def check_sigma_direction_independence(units: UnitSystem = NATURAL) -> CheckResu
     """The averaged stress does not depend on the polarization angle."""
     geom = _GEOMS[1]
     mode = modes.ModeIndex(2, 1, 3)
-    values = [stress.sigma_zz_direct(mode, geom, units, tol=1e-12,
+    values = [stress.sigma_zz_direct(mode, geom, units,
                                      polarization_angle=ang)
               for ang in (0.0, 0.8, math.pi / 2)]
     spread = (max(values) - min(values)) / abs(values[0])
@@ -235,9 +235,8 @@ def check_sigma_plate_symmetry(units: UnitSystem = NATURAL) -> CheckResult:
     worst = 0.0
     for geom in _GEOMS:
         mode = modes.ModeIndex(1, 2, 2)
-        bottom = stress.sigma_zz_direct(mode, geom, units, tol=1e-12)
-        top = stress.sigma_zz_direct(mode, geom, units, tol=1e-12,
-                                     plate="top")
+        bottom = stress.sigma_zz_direct(mode, geom, units)
+        top = stress.sigma_zz_direct(mode, geom, units, plate="top")
         worst = max(worst, abs(top - bottom) / abs(bottom))
     return _result("sigma_plate_symmetry", worst, 1e-10,
                    "z = a plate vs z = 0 plate")

@@ -600,6 +600,13 @@ ONE_LINE_FAILURES = [
     (["modes", "--a", "1e-100", "--L", "1e-100"], 2,
      "mode (1, 1, 1) at a = 1e-100, L = 1e-100: kappa or sigma_zz leaves "
      "the double range"),
+    # sigma_zz underflows to -0.0, which is not strictly negative
+    (["modes", "--a", "1e300"], 2,
+     "mode (1, 1, 1) at a = 1e+300, L = 1.0: kappa or sigma_zz leaves the "
+     "double range"),
+    (["modes", "--a", "1e160", "--units", "si"], 2,
+     "mode (1, 1, 1) at a = 1e+160, L = 1.0: kappa or sigma_zz leaves the "
+     "double range"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
       "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",

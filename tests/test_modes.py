@@ -10,7 +10,6 @@ from casimir_plates.modes import (
     CavityGeometry,
     ModeAmplitudes,
     ModeIndex,
-    TransversalityError,
     amplitude_norm_squared,
     divergence_residual,
     electric_mode_at,
@@ -26,7 +25,8 @@ from casimir_plates.modes import (
     wave_vector,
 )
 from casimir_plates import modes
-from casimir_plates.numerics import _gl_reference, jacobian_fd
+from casimir_plates.errors import TransversalityError
+from casimir_plates.numerics import _midpoints, jacobian_fd
 from casimir_plates.units import NATURAL, SI
 
 geometries = st.builds(
@@ -197,17 +197,12 @@ class TestFieldEvaluation:
 
 class TestSquareEvaluators:
     """The square evaluators equal the sum over the stacked field's last
-    axis byte for byte, on the Gauss-Legendre grids the mean checks use."""
+    axis byte for byte, on the midpoint grids the mean checks use."""
 
     MODES = (ModeIndex(1, 1, 1), ModeIndex(2, 3, 1), ModeIndex(3, 1, 2))
     ANGLES = (0.0, 0.6, 2.3)
     GEOMS = {NATURAL: (CavityGeometry(a=1.0, L=1.0), CavityGeometry(a=0.7, L=2.0)),
              SI: (CavityGeometry(a=1e-6, L=2e-6), CavityGeometry(a=0.7, L=2.0))}
-
-    @staticmethod
-    def _nodes(n, length):
-        x, _ = _gl_reference(n)
-        return 0.5 * length * (x + 1.0)
 
     @staticmethod
     def _assert_same_bytes(x, y, z, wv, amp, units):
@@ -226,16 +221,17 @@ class TestSquareEvaluators:
                 wv = wave_vector(mode, geom)
                 for angle in self.ANGLES:
                     amp = mode_amplitudes(mode, geom, units, angle)
-                    for n in (8, 16, 32):
-                        x, y, z = np.ix_(self._nodes(n, geom.L),
-                                         self._nodes(n, geom.L),
-                                         self._nodes(n, geom.a))
+                    # max(mode) + 1 and + 2 points per axis
+                    for n in (2, 3, 4, 5):
+                        x, y, z = np.ix_(_midpoints(n, geom.L),
+                                         _midpoints(n, geom.L),
+                                         _midpoints(n, geom.a))
                         self._assert_same_bytes(x, y, z, wv, amp, units)
-        # the two finest box levels, one geometry each
+        # two large grids, one geometry each
         for geom, mode, n in zip(self.GEOMS[units], self.MODES[1:], (128, 64)):
             amp = mode_amplitudes(mode, geom, units, 0.6)
-            x, y, z = np.ix_(self._nodes(n, geom.L), self._nodes(n, geom.L),
-                             self._nodes(n, geom.a))
+            x, y, z = np.ix_(_midpoints(n, geom.L), _midpoints(n, geom.L),
+                             _midpoints(n, geom.a))
             self._assert_same_bytes(x, y, z, wave_vector(mode, geom), amp, units)
 
     @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
@@ -245,9 +241,10 @@ class TestSquareEvaluators:
                 wv = wave_vector(mode, geom)
                 for angle in self.ANGLES:
                     amp = mode_amplitudes(mode, geom, units, angle)
-                    for n in (8, 16, 32, 64, 128):
-                        x, y = np.ix_(self._nodes(n, geom.L),
-                                      self._nodes(n, geom.L))
+                    # max(mode) + 1 and + 2 points, and one large grid
+                    for n in (2, 3, 4, 5, 128):
+                        x, y = np.ix_(_midpoints(n, geom.L),
+                                      _midpoints(n, geom.L))
                         for z in (0.0, geom.a):
                             self._assert_same_bytes(x, y, z, wv, amp, units)
 

@@ -2,14 +2,13 @@ import math
 import os
 import signal
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import numerics, verify
+from casimir_plates import numerics
 from casimir_plates.errors import (
     IllConditionedFitError,
     QuadratureError,
@@ -374,49 +373,83 @@ class TestStencils:
         assert err(1e-3) / err(5e-4) == pytest.approx(4.0, abs=0.1)
 
 
+def _squared_factors(indices, kinds, lengths):
+    """prod_i sin^2 or cos^2(pi m_i x_i / l_i), a standing-wave product of
+    order m_i along axis i, with its exact mean prod_i (1/2 or 1)."""
+    def f(*xs):
+        out = 1.0
+        for x, m, kind, length in zip(xs, indices, kinds, lengths):
+            out = out * kind(np.pi * m * x / length)**2
+        return out
+    return f, math.prod(0.5 if m else float(kind is np.cos)
+                        for m, kind in zip(indices, kinds))
+
+
 class TestGridMeans:
-    def test_rectangle_mean_of_monomial(self):
-        res = mean_over_rectangle(lambda x, y: x**2 * y, 2.0, 3.0, 1e-12)
-        assert res.value == pytest.approx(2.0, rel=1e-12)
-        assert res.evaluations >= 2 * 8 * 8
+    def test_rectangle_mean_of_trig_polynomial(self):
+        # orders 1 along x and 2 along y
+        res = mean_over_rectangle(
+            lambda x, y: (1.0 + np.cos(np.pi * x)) * np.sin(2 * np.pi * y / 3)**2,
+            2.0, 3.0, 2)
+        assert res.value == pytest.approx(0.5, rel=1e-15)
+        assert res.evaluations == 3 * 3 + 4 * 4
 
     def test_box_mean_of_product(self):
-        res = mean_over_box(lambda x, y, z: x * y * z, 1.0, 2.0, 0.5, 1e-12)
-        assert res.value == pytest.approx(0.5 * 1.0 * 0.25, rel=1e-12)
+        # orders 1, 1 and 3
+        res = mean_over_box(
+            lambda x, y, z: (np.cos(np.pi * x)**2 * (2.0 + np.sin(np.pi * y))
+                             * np.sin(6 * np.pi * z)**2),
+            1.0, 2.0, 0.5, 3)
+        assert res.value == pytest.approx(0.5, rel=1e-15)
+        assert res.evaluations == 4**3 + 5**3
 
     def test_rectangle_mean_of_trig(self):
         res = mean_over_rectangle(
             lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y) ** 2,
-            1.0, 1.0, 1e-12)
-        assert res.value == pytest.approx(0.25, rel=1e-11)
+            1.0, 1.0, 2)
+        assert res.value == pytest.approx(0.25, rel=1e-15)
 
-    def test_levels_stop_at_point_budget(self):
-        # a kink at x = 0.3 keeps every level apart, so all levels run:
-        # 8..256 nodes per axis on a rectangle, 8..128 on a box
-        kink = lambda x, *rest: np.abs(x - 0.3) + 0.0 * sum(rest)
-        with pytest.raises(QuadratureError) as rect:
-            mean_over_rectangle(kink, 1.0, 1.0, 1e-15)
-        assert rect.value.evaluations == sum(n * n for n in (8, 16, 32, 64, 128, 256))
-        with pytest.raises(QuadratureError) as box:
-            mean_over_box(kink, 1.0, 1.0, 1.0, 1e-15)
-        assert box.value.evaluations == sum(n**3 for n in (8, 16, 32, 64, 128))
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), dims=st.sampled_from([2, 3]),
+           n_max=st.integers(0, 6))
+    def test_standing_wave_products_exact_to_rounding(self, data, dims,
+                                                      n_max):
+        lengths = data.draw(st.tuples(*[st.floats(1e-6, 1e3)] * dims))
+        indices = data.draw(st.tuples(*[st.integers(0, n_max)] * dims))
+        kinds = data.draw(st.tuples(*[st.sampled_from([np.sin, np.cos])]
+                                    * dims))
+        f, exact = _squared_factors(indices, kinds, lengths)
+        mean = mean_over_box if dims == 3 else mean_over_rectangle
+        res = mean(f, *lengths, n_max)
+        deviation = abs(res.value - exact)
+        assert deviation <= 4 * (n_max + 1) * np.finfo(float).eps * exact
+        assert res.error_estimate >= deviation
+        assert res.evaluations == (n_max + 1)**dims + (n_max + 2)**dims
 
-    def test_verify_computes_nodes_once_per_order(self, monkeypatch):
-        calls = Counter()
-        leggauss = np.polynomial.legendre.leggauss
+    @pytest.mark.parametrize("n_max", range(6))
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_order_above_n_max_shows_in_the_estimate(self, dims, n_max):
+        # order n_max + 1 along every axis, declared as n_max
+        lengths = (1.0, 2.5, 0.7)[:dims]
+        f, exact = _squared_factors([n_max + 1] * dims, [np.sin] * dims,
+                                    lengths)
+        res = (mean_over_box if dims == 3 else mean_over_rectangle)(
+            f, *lengths, n_max)
+        assert res.error_estimate >= 0.1 * exact
 
-        def counting(n):
-            calls[n] += 1
-            return leggauss(n)
+    @pytest.mark.parametrize("n_max", [-1, 2.0, True, "3", None])
+    def test_rejects_n_max_that_is_not_a_count(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
+            mean_over_rectangle(lambda x, y: x * y, 1.0, 1.0, n_max)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        # the counter sees only this process, so no check may run in a
-        # forked worker
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        numerics._gl_reference.cache_clear()
-        verify.run_all("default")
-        assert calls and max(calls.values()) == 1
+    def test_rejects_grids_above_the_point_budget(self):
+        def never(*xs):
+            raise AssertionError("evaluated a grid above the budget")
+        # the finer grid would hold 1449^2 and 129^3 points, above 128^3
+        with pytest.raises(ValueError, match="1449\\^2 points"):
+            mean_over_rectangle(never, 1.0, 1.0, 1447)
+        with pytest.raises(ValueError, match="129\\^3 points"):
+            mean_over_box(never, 1.0, 1.0, 1.0, 127)
 
 
 def _assert_no_children():

@@ -123,7 +123,7 @@ def test_precision_loss_error_has_one_home():
         regsum.decompose(1.0, regsum.Regulator(1e-9))
     assert issubclass(errors.PrecisionLossError, ValueError)
     # errors is the one place to import them from: no layer lists them
-    for layer in (numerics, regsum):
+    for layer in (modes, numerics, regsum):
         assert set(layer.__all__).isdisjoint(errors.__all__)
         assert not [name for name in layer.__all__
                     if isinstance(getattr(layer, name), type)

@@ -112,23 +112,21 @@ class TestDirectQuadrature:
     @pytest.mark.parametrize("mode", [ModeIndex(1, 1, 1), ModeIndex(2, 1, 3)])
     def test_matches_closed_form(self, geom, mode):
         want = sigma_zz_mode(mode, geom, NATURAL)
-        got = sigma_zz_direct(mode, geom, NATURAL, tol=1e-12)
+        got = sigma_zz_direct(mode, geom, NATURAL)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_polarization_independence(self):
         geom = CavityGeometry(a=0.7, L=2.0)
         mode = ModeIndex(2, 1, 3)
-        values = [sigma_zz_direct(mode, geom, NATURAL, tol=1e-12,
-                                  polarization_angle=ang)
+        values = [sigma_zz_direct(mode, geom, NATURAL, polarization_angle=ang)
                   for ang in (0.0, 0.6, math.pi / 2.0)]
         assert max(values) - min(values) <= 1e-12 * abs(values[0])
 
     def test_top_plate_equals_bottom(self):
         geom = CavityGeometry(a=1.0, L=1.0)
         mode = ModeIndex(1, 2, 2)
-        bottom = sigma_zz_direct(mode, geom, NATURAL, tol=1e-12)
-        top = sigma_zz_direct(mode, geom, NATURAL, tol=1e-12,
-                              plate="top")
+        bottom = sigma_zz_direct(mode, geom, NATURAL)
+        top = sigma_zz_direct(mode, geom, NATURAL, plate="top")
         assert top == pytest.approx(bottom, rel=1e-12)
 
     def test_rejects_unknown_plate(self):

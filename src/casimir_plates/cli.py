@@ -422,8 +422,8 @@ def run() -> NoReturn:
 
     OpenBLAS starts a pool of one thread per CPU when numpy loads; no array
     here is large enough to gain from it, and its threads spin on the CPUs
-    that parallel_map's workers use.  So the script asks for one thread,
-    unless OPENBLAS_NUM_THREADS is already set.
+    that the workers of a numeric_sum sweep use.  So the script asks for one
+    thread, unless OPENBLAS_NUM_THREADS is already set.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()

@@ -1,5 +1,5 @@
 """Shared numerical kernels: quadrature, grid means, tail-bounded sums, fits,
-FD Jacobian, and a map that spreads independent computations over the CPUs.
+FD Jacobian, and a map that splits a sweep's numeric_sum cells over the CPUs.
 
 Every routine here is deterministic (same inputs give bit-identical outputs)
 and reports an explicit error measure, either in its result type or in the
@@ -26,8 +26,8 @@ import numbers
 import operator
 import os
 import sys
-from typing import (TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn,
-                    Sequence, TypeVar)
+from typing import (TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence,
+                    TypeVar)
 
 from .errors import (IllConditionedFitError, QuadratureError, TailBoundError,
                      check_positive_finite)
@@ -421,56 +421,29 @@ def mean_over_box(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-#: Tickets of one parallel_map call: 4 bytes each, 4096 bytes in all, so
-#: that they fit in the hand-out pipe before any worker reads one.
-_TICKETS = 1024
 
-
-def _take(fn: Callable[[_T], _R], items: list[_T], tickets: int, step: int,
-          results: dict[int, _R]) -> None:
-    """Run the items of each ticket read from the pipe until it is empty.
-
-    A ticket is the first of ``step`` consecutive item indices.  Reads of 4
-    bytes from a pipe are atomic, so each ticket goes to one reader.
-    """
-    while ticket := os.read(tickets, 4):
-        start = int.from_bytes(ticket, "little")
-        for i in range(start, min(start + step, len(items))):
-            try:
-                results[i] = fn(items[i])
-            except Exception:
-                pass  # parallel_map runs it again in the caller, which raises
-
-
-def _work(fn: Callable[[_T], _R], items: list[_T], tickets: int, step: int,
-          writer: int) -> NoReturn:
-    """A forked worker: take tickets, pickle the results, exit at once.
-
-    os._exit flushes no inherited stdio buffer and runs no atexit handler.
-    It exits 0 only after the whole pickle is written.
-    """
-    code = 1
-    try:
-        import pickle
-        results: dict[int, _R] = {}
-        _take(fn, items, tickets, step, results)
-        with open(writer, "wb") as pipe:
-            pickle.dump(results, pipe)
-        code = 0
-    finally:
-        os._exit(code)
+def _share(fn: Callable[[_T], _R], items: list[_T], first: int,
+           step: int) -> dict[int, _R]:
+    """{i: fn(items[i])} for i = first, first + step, ..., less any raising."""
+    results: dict[int, _R] = {}
+    for i in range(first, len(items), step):
+        try:
+            results[i] = fn(items[i])
+        except Exception:
+            pass  # parallel_map runs it again in the caller, which raises
+    return results
 
 
 def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     """[fn(x) for x in items], spread over the CPUs this process may use.
 
-    The caller and one forked worker per further CPU of the affinity mask
-    (at most one process per item) take the items in list order, each the
-    next one as soon as it is free, so put the costliest first.  Workers
-    are forked, so ``fn`` may be a closure; only the results are pickled.
-    ``fn`` must not print and must give the same result in any process;
-    a worker holds only the calling thread, so ``fn`` must not wait for a
-    lock that another thread of the caller may hold.
+    With w processes, the caller and one forked worker per further CPU of
+    the affinity mask (at most one per item), process j (the caller is 0)
+    runs items j, j + w, j + 2w, ..., so sort the items costliest first.
+    Workers are forked, so ``fn`` may be a closure; only the results are
+    pickled.  ``fn`` must not print and must give the same result in any
+    process; a worker holds only the calling thread, so ``fn`` must not
+    wait for a lock that another thread of the caller may hold.
     Every item a worker did not return, because it raised or the worker
     died, is computed again in the caller, in list order, so that the
     first such item to raise does so here with its own type and message,
@@ -488,38 +461,33 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     import signal
     import warnings
 
-    # items that run array code would otherwise import numpy in every
-    # process
-    import numpy  # noqa: F401
+    import numpy  # noqa: F401  (imported once, not in every process)
 
-    step = -(-len(items) // _TICKETS)
-    tickets, hand_out = os.pipe()
-    os.write(hand_out, b"".join(i.to_bytes(4, "little")
-                                for i in range(0, len(items), step)))
-    os.close(hand_out)
-    results: dict[int, _R] = {}
     children: list[tuple[int, int]] = []  # (pid, read end of its results)
     outputs: dict[int, bytes] = {}
-    statuses: dict[int, int] = {}
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on fork in a process with threads, and
-            # OpenBLAS starts one at import numpy.  The fork falls between
-            # computations, when no lock is held, and OpenBLAS's own atfork
-            # handler stops its pool before the fork, which each process
-            # then starts again on its next call, so the warning does not
-            # apply here.
+            # Python 3.12+ warns on fork in a process with threads, such as
+            # OpenBLAS's pool.  No lock is held between computations, and
+            # OpenBLAS's atfork handler stops the pool before the fork; each
+            # process starts it again on its next call.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork",
                 DeprecationWarning)
-            for _ in range(workers - 1):
+            for j in range(1, workers):
                 reader, writer = os.pipe()
                 pid = os.fork()
-                if pid == 0:
-                    _work(fn, items, tickets, step, writer)
+                if pid == 0:  # exit 0 once the whole pickle is written
+                    code = 1
+                    try:
+                        with open(writer, "wb") as pipe:
+                            pickle.dump(_share(fn, items, j, workers), pipe)
+                        code = 0
+                    finally:
+                        os._exit(code)
                 os.close(writer)
                 children.append((pid, reader))
-        _take(fn, items, tickets, step, results)
+        results = _share(fn, items, 0, workers)
         for pid, reader in children:
             with open(reader, "rb", closefd=False) as pipe:
                 outputs[pid] = pipe.read()
@@ -528,12 +496,11 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(tickets)
         for pid, reader in children:
             os.close(reader)
-            statuses[pid] = os.waitpid(pid, 0)[1]
-    for pid, data in outputs.items():
-        if statuses[pid] == 0:  # the worker wrote its whole pickle
-            results.update(pickle.loads(data))
+            if os.waitpid(pid, 0)[1]:  # it did not write its whole pickle
+                outputs.pop(pid, None)
+    for data in outputs.values():
+        results.update(pickle.loads(data))
     return [results[i] if i in results else fn(x)
             for i, x in enumerate(items)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import PrecisionLossError, TailBoundError, check_positive_finite
@@ -63,8 +64,9 @@ __all__ = [
 ROUTES = ("closed_form", "numeric_sum", "series")
 
 #: Exponents of the regulator powers present in F(a, lambda) for small
-#: lambda: the pole, the finite part, and the two leading vanishing terms.
-BASIS_EXPONENTS = (-4.0, 0.0, 1.0, 2.0)
+#: lambda: the pole, the finite part, and the two leading terms that vanish
+#: with lambda (the odd orders are absent; see series_terms).
+BASIS_EXPONENTS = (-4.0, 0.0, 2.0, 4.0)
 
 #: Below this value of lambda*pi/a the closed form loses all significant
 #: digits to cancellation in (1 - q)^3.
@@ -118,7 +120,8 @@ class RegularizedForce(NamedTuple):
 class ExtractedForce(NamedTuple):
     """Finite part recovered from force samples by a least-squares fit.
 
-    ``coefficients`` multiply lam**e for e in BASIS_EXPONENTS, in order.
+    ``coefficients`` multiply lam**e for e in BASIS_EXPONENTS, in order:
+    lam**-4, lam**0, lam**2 and lam**4.
     """
 
     coefficients: tuple[float, ...]
@@ -412,13 +415,17 @@ def series_value(a: float, reg: Regulator,
                  units: UnitSystem = NATURAL) -> tuple[float, float]:
     """Asymptotic series for F(a, lambda) through order 8, with an estimate.
 
-    Returns (value, estimate) where the estimate is the magnitude of the
-    first omitted term, order 10 (order 9 vanishes), the usual heuristic
-    for an asymptotic series.
+    Returns (value, estimate).  The estimate is the magnitude of the first
+    omitted term, order 10 (order 9 vanishes), the usual heuristic for an
+    asymptotic series, plus a rounding term 4 m eps sum |term_h| for the
+    m terms summed, which dominates below lambda pi / a of about 0.1,
+    where the pole and the finite part cancel.
     """
     terms = series_terms(a, reg, _SERIES_H_MAX + 2, units)
     estimate = abs(terms.pop(_SERIES_H_MAX + 2))
-    return sum(terms.values()), estimate
+    rounding = (4 * len(terms) * sys.float_info.epsilon
+                * math.fsum(map(abs, terms.values())))
+    return sum(terms.values()), estimate + rounding
 
 
 def asymptotic_parts(a: float,
@@ -467,10 +474,11 @@ def extract_finite_part(a: float,
     """Recover the finite part of F(a, lambda) numerically, without the series.
 
     Samples the closed-form force on the given regulator grid and fits
-    F ~ c * lam^-4 + c0 + c1 lam + c2 lam^2 by least squares; c0 estimates
-    the finite part and c the divergent coefficient.  The grid must contain
-    at least four distinct values with lambda pi / a in [0.01, 0.5], the
-    window where the four-term model represents F to fit accuracy.
+    F ~ c * lam^-4 + c0 + c2 lam^2 + c4 lam^4 by least squares, leaving out
+    O(lam^6); c0 estimates the finite part (to 1e-7 on the default grid) and
+    c the divergent coefficient.  The grid must contain at least four
+    distinct values with lambda pi / a in [0.01, 0.5], the window where the
+    four-term model represents F to fit accuracy.
 
     Raises PrecisionLossError, naming a, when the lam**-4 column leaves the
     double range (default grid: a below 1.85e-37 or above 1.77e42), and
@@ -514,9 +522,10 @@ def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,
 
     Routes: 'closed_form' (error at rounding level), 'numeric_sum' (error
     from the summation tolerance ``tol``), 'series' (error from the first
-    omitted term).  Every route rejects a tol that is not positive and
-    finite.  Raises PrecisionLossError, naming the route, a and lambda,
-    when a field of the record would overflow or be non-finite.
+    omitted term plus the rounding of the terms summed; see series_value).
+    Every route rejects a tol that is not positive and finite.  Raises
+    PrecisionLossError, naming the route, a and lambda, when a field of the
+    record would overflow or be non-finite.
     """
     check_positive_finite("tol", tol)
     try:

@@ -26,7 +26,7 @@ def _grid(a):
 
 
 def test_finite_part_extraction_accuracy():
-    """Fitted finite part within 1e-4 and pole coefficient within 1e-6."""
+    """Fitted finite part within 1e-7 and pole coefficient within 1e-12."""
     start = time.perf_counter()
     result = regsum.extract_finite_part(1.0, _grid(1.0))
     elapsed = time.perf_counter() - start
@@ -36,11 +36,11 @@ def test_finite_part_extraction_accuracy():
     finite_err = abs(result.finite_part - want_finite) / want_finite
     div_err = abs(result.divergent_coefficient - want_div) / abs(want_div)
 
-    assert finite_err <= 1e-4
-    assert div_err <= 1e-6
+    assert finite_err <= 1e-7
+    assert div_err <= 1e-12
     assert elapsed < 1.0
     print(f"PASS: finite-part extraction: c0 rel err {finite_err:.3e} "
-          f"(<=1e-4), pole rel err {div_err:.3e} (<=1e-6), {elapsed:.3f}s")
+          f"(<=1e-7), pole rel err {div_err:.3e} (<=1e-12), {elapsed:.3f}s")
 
 
 def test_route_equivalence():

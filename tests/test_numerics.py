@@ -457,14 +457,6 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _in_worker(caller_pid):
-    """True in a forked worker; the caller sleeps, so workers take items."""
-    if os.getpid() != caller_pid:
-        return True
-    time.sleep(0.005)
-    return False
-
-
 class TestParallelMap:
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
@@ -472,27 +464,32 @@ class TestParallelMap:
                             raising=False)
 
     def test_matches_serial_in_order(self):
-        caller = os.getpid()
-
-        def square(x):
-            _in_worker(caller)
-            return x * x, os.getpid()
-
-        got = parallel_map(square, range(30))
+        got = parallel_map(lambda x: x * x, range(30))
         _assert_no_children()
-        assert [value for value, _ in got] == [x * x for x in range(30)]
-        # the items were spread: some ran outside the caller
-        assert {pid for _, pid in got} - {caller}
+        assert got == [x * x for x in range(30)]
+
+    def test_item_i_runs_in_process_i_mod_3(self, monkeypatch):
+        processes = [os.getpid()]  # the caller is process 0
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            processes.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        got = parallel_map(lambda x: os.getpid(), range(30))
+        _assert_no_children()
+        assert len(set(processes)) == 3
+        assert got == [processes[i % 3] for i in range(30)]
 
     def test_worker_exception_raised_again_in_caller(self):
-        caller = os.getpid()
-
         def fail_from_four(x):
-            _in_worker(caller)
             if x >= 4:
                 raise TailBoundError(f"item {x}", partial_sum=x, bound=2.0 * x)
             return x
 
+        # items 6 and 9 raise in the caller, 4, 7 and 10 in a worker
         with pytest.raises(TailBoundError, match=r"^item 4$") as info:
             parallel_map(fail_from_four, range(12))
         _assert_no_children()
@@ -502,14 +499,15 @@ class TestParallelMap:
         caller = os.getpid()
 
         def die_in_worker(x):
-            if _in_worker(caller) and x >= 3:
+            if os.getpid() != caller and x >= 3:
                 (tmp_path / f"killed-{x}").touch()
                 os.kill(os.getpid(), signal.SIGKILL)
             return -x
 
         assert parallel_map(die_in_worker, range(20)) == [-x for x in range(20)]
         _assert_no_children()
-        assert list(tmp_path.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["killed-4",
+                                                              "killed-5"]
 
     def test_interrupted_caller_kills_its_workers(self):
         caller = os.getpid()

@@ -1,4 +1,8 @@
+import decimal
+import itertools
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +37,9 @@ from casimir_plates.regsum import (
 from casimir_plates.units import NATURAL, SI
 
 separations = st.floats(min_value=0.3, max_value=3.0)
+cutoff_ratios = st.floats(min_value=0.05, max_value=2.0)
+#: pi to 60 digits, for the 50-digit reference
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 cutoff_ratios = st.floats(min_value=0.05, max_value=2.0)
 
 
@@ -322,6 +329,28 @@ class TestSeries:
         assert total == pytest.approx(closed, rel=1e-9)
         assert 0.0 < estimate < 1e-6 * abs(closed)
 
+    def test_estimate_bounds_deviation_from_50_digit_reference(self):
+        # below lambda pi / a ~ 0.1 the deviation is rounding, far above the
+        # first omitted term; near 2 it is the first omitted term
+        rng = random.Random(1)
+        a_values = [0.5, 1.0, 2.0] + [rng.uniform(0.5, 2.0) for _ in range(40)]
+        ratios = [0.008 * 250.0 ** (k / 24) for k in range(25)]
+        ratios += [10.0 ** rng.uniform(-2.0, 0.0) for _ in range(20)]
+        misses = []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for a, ratio in itertools.product(a_values, ratios):
+                lam = ratio * a / math.pi
+                total, estimate = series_value(a, Regulator(lam), NATURAL)
+                exact_a, exact_lam = Decimal(a), Decimal(lam)
+                q = (-exact_lam * _PI_50 / exact_a).exp()
+                want = (-(_PI_50 / exact_a) ** 2 / (2 * _PI_50 * exact_a)
+                        / exact_lam * q * (1 + q) / (1 - q) ** 3)
+                if abs(Decimal(total) - want) > Decimal(estimate):
+                    misses.append((a, ratio))
+        assert len(a_values) * len(ratios) == 1935
+        assert misses == []
+
 
 class TestAsymptoticParts:
     def test_frozen_values(self):
@@ -355,16 +384,16 @@ class TestExtraction:
         result = extract_finite_part(1.0, grid)
         want_finite = casimir_closed_form(1.0)
         want_div, _ = asymptotic_parts(1.0)
-        assert abs(result.finite_part - want_finite) / want_finite <= 1e-4
-        assert abs(result.divergent_coefficient - want_div) / abs(want_div) <= 1e-6
+        assert abs(result.finite_part - want_finite) / want_finite <= 1e-7
+        assert abs(result.divergent_coefficient - want_div) / abs(want_div) <= 1e-12
         assert len(result.coefficients) == len(BASIS_EXPONENTS)
-        assert result.condition_estimate < 1e4
+        assert result.condition_estimate < 20.0
 
     def test_accepts_plain_floats(self):
         grid = [r / math.pi for r in (0.05, 0.1, 0.2, 0.4)]
         result = extract_finite_part(1.0, grid)
         assert result.finite_part == pytest.approx(casimir_closed_form(1.0),
-                                                   rel=1e-3)
+                                                   rel=1e-7)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

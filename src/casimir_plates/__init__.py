@@ -9,7 +9,9 @@ The attraction emerges in three layers, each exposed on its own:
 
 numerics holds the shared kernels (quadrature, tail-bounded sums, basis
 fits), errors the error types and the shared input check, verify the
-cross-layer self-checks, and cli the command line.
+cross-layer self-checks, and cli the command line.  Every layer computes
+in natural units (hbar = c = eps0 = 1); units holds the factor hbar c by
+which the command line turns each printed pressure into pascals.
 
 The package loads each layer on first use: importing it runs no layer, and
 a public name below imports its layer when it is first looked up.  Every

@@ -10,8 +10,10 @@ Subcommands:
 
 Settings resolve in the order: command-line flag, CASIMIR_* environment
 variable, config file (--config or CASIMIR_CONFIG, "key = value" lines),
-built-in default.  Human output rounds to 6 significant digits; csv and
-json output carry 17, enough to round-trip doubles exactly.
+built-in default.  Every layer computes in natural units; --units si
+multiplies each pressure by hbar c in _in_units, and nowhere else.  Human
+output rounds to 6 significant digits; csv and json output carry 17, enough
+to round-trip doubles exactly.
 
 Exit codes: 0 success, 1 a check or fit failed, 2 a numerical routine did
 not converge or an input was rejected.
@@ -38,6 +40,12 @@ SCHEMA_VERSION = 1
 SWEEP_COLUMNS = ("a", "lambda", "route", "force_per_area", "divergent_part",
                  "finite_part", "remainder", "error_estimate")
 MODES_COLUMNS = ("n_x", "n_y", "n_z", "kappa", "sigma_zz")
+#: The output fields that carry a factor hbar c: pressures, and the fit's
+#: coefficients and residual
+PRESSURE_FIELDS = frozenset((
+    "force_per_area", "divergent_part", "finite_part", "remainder",
+    "error_estimate", "divergent_coefficient", "casimir_closed_form",
+    "coefficients", "residual_norm", "sigma_zz"))
 #: regsum.ROUTES, spelled out so that the help text loads no layer
 _ROUTE_NAMES = "closed_form,numeric_sum,series"
 
@@ -138,6 +146,16 @@ def _print_csv(columns: Sequence[str], rows: list[dict]) -> None:
     print("\n".join(lines))
 
 
+def _in_units(fields: dict, units) -> dict:
+    """fields with each of PRESSURE_FIELDS, computed in natural units,
+    multiplied by units.hbar_c; a list is scaled entry by entry."""
+    scale = units.hbar_c
+    return {key: value if key not in PRESSURE_FIELDS
+            else [scale * v for v in value] if isinstance(value, list)
+            else scale * value
+            for key, value in fields.items()}
+
+
 def _print_json(command: str, units, fields: dict) -> None:
     """One JSON document: the versioned envelope and the command's fields."""
     import json
@@ -149,8 +167,7 @@ def _print_json(command: str, units, fields: dict) -> None:
 def cmd_verify(args, cfg, units) -> int:
     from . import verify
     sigma_factor = 1.02 if args.inject_fault else 1.0
-    results = verify.run_all(args.profile, units=units,
-                             sigma_factor=sigma_factor)
+    results = verify.run_all(args.profile, sigma_factor=sigma_factor)
     if args.json:
         _print_json("verify", units, {
             "profile": args.profile,
@@ -175,10 +192,10 @@ def cmd_verify(args, cfg, units) -> int:
 
 def _force_row(a: float, lam: float, route: str, units, tol: float) -> dict:
     from . import regsum
-    force = regsum.decompose(a, regsum.Regulator(lam), units, route, tol=tol)
-    return dict(zip(SWEEP_COLUMNS, (
+    force = regsum.decompose(a, regsum.Regulator(lam), route, tol=tol)
+    return _in_units(dict(zip(SWEEP_COLUMNS, (
         a, force.lam, force.route, force.total, force.divergent_part,
-        force.finite_part, force.remainder, force.error_estimate)))
+        force.finite_part, force.remainder, force.error_estimate))), units)
 
 
 def cmd_force(args, cfg, units) -> int:
@@ -255,10 +272,10 @@ def cmd_extract(args, cfg, units) -> int:
         grid = _parse(args.lambda_grid, "--lambda-grid", _float_list)
     else:
         grid = regsum.default_lambda_grid(a)
-    result = regsum.extract_finite_part(a, grid, units)
-    reference = regsum.casimir_closed_form(a, units)
+    result = regsum.extract_finite_part(a, grid)
+    reference = regsum.casimir_closed_form(a)
     rel_error = abs(result.finite_part - reference) / reference
-    document = {
+    document = _in_units({
         "a": a,
         "lambda_grid": grid,
         "finite_part": result.finite_part,
@@ -269,7 +286,7 @@ def cmd_extract(args, cfg, units) -> int:
         "exponents": list(regsum.BASIS_EXPONENTS),
         "residual_norm": result.residual_norm,
         "condition_estimate": result.condition_estimate,
-    }
+    }, units)
     if args.json:
         _print_json("extract", units, document)
     else:
@@ -292,16 +309,18 @@ def cmd_modes(args, cfg, units) -> int:
         mode = modes.ModeIndex(*n)
         try:
             kappa = modes.wave_vector(mode, geom).kappa
-            sigma = stress.sigma_zz_mode(mode, geom, units)
+            row = _in_units(dict(zip(MODES_COLUMNS, (
+                *n, kappa, stress.sigma_zz_mode(mode, geom)))), units)
             # sigma_zz is strictly negative, so -0.0 means it underflowed
-            in_range = math.isfinite(kappa) and -math.inf < sigma < 0.0
+            in_range = (math.isfinite(kappa)
+                        and -math.inf < row["sigma_zz"] < 0.0)
         except ArithmeticError:
             in_range = False
         if not in_range:
             raise PrecisionLossError(
                 f"mode {n} at a = {geom.a!r}, L = {geom.L!r}: kappa or "
                 "sigma_zz leaves the double range")
-        rows.append(dict(zip(MODES_COLUMNS, (*n, kappa, sigma))))
+        rows.append(row)
     if args.format == "json":
         _print_json("modes", units, {"a": geom.a, "L": geom.L, "rows": rows})
     else:

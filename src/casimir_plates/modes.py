@@ -10,10 +10,12 @@ k = (pi n_x / L, pi n_y / L, pi n_z / a) and electric field pattern
 
 The tangential electric components vanish on both plates by construction,
 and the interior is charge free exactly when the amplitude vector is
-orthogonal to k.  The magnetic evaluator returns the amplitude profile
-curl(E)/omega; the field actually oscillates a quarter period out of phase
-with E, but only squares of B enter the stress and energy averages, so the
-phase factor is documented here rather than carried in code.
+orthogonal to k.  Units are natural (hbar = c = eps0 = 1), so a mode's
+frequency is omega = |k|.  The magnetic evaluator returns the amplitude
+profile curl(E)/omega; the field actually oscillates a quarter period out
+of phase with E, but only squares of B enter the stress and energy
+averages, so the phase factor is documented here rather than carried in
+code.
 
 Trigonometric factors are computed through reduced phases t = n * (x / L)
 with sin(pi t) evaluated after subtracting the nearest integer.  Where the
@@ -35,7 +37,6 @@ import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import TransversalityError, check_positive_finite
-from .units import UnitSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -180,19 +181,18 @@ def wave_vector(mode: ModeIndex, geom: CavityGeometry) -> WaveVector:
     )
 
 
-def amplitude_norm_squared(mode: ModeIndex, geom: CavityGeometry,
-                           units: UnitSystem) -> float:
-    """Squared amplitude A^2 = 2 hbar omega / (eps0 L^2 a).
+def amplitude_norm_squared(mode: ModeIndex, geom: CavityGeometry) -> float:
+    """Squared amplitude A^2 = 2 hbar omega / (eps0 L^2 a) = 2 k / (L^2 a).
 
     This is the per-mode field scale of the vacuum state; every average and
     stress formula downstream is linear in it and uses the same
     profile-square convention (see the module docstring of stress.py).
     """
     k = wave_vector(mode, geom).k
-    return 2.0 * units.hbar_c * k / (units.epsilon_0 * geom.L**2 * geom.a)
+    return 2.0 * k / (geom.L**2 * geom.a)
 
 
-def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
+def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry,
                     polarization_angle: float = 0.0) -> ModeAmplitudes:
     """Construct a transverse amplitude vector of the correct magnitude.
 
@@ -211,7 +211,7 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry, units: UnitSystem,
     e2 = (wv.k_x * wv.k_z / (kap * k), wv.k_y * wv.k_z / (kap * k),
           -kap * kap / (kap * k))
     c, s = math.cos(polarization_angle), math.sin(polarization_angle)
-    norm = math.sqrt(amplitude_norm_squared(mode, geom, units))
+    norm = math.sqrt(amplitude_norm_squared(mode, geom))
     return ModeAmplitudes(*(norm * (c * u + s * v) for u, v in zip(e1, e2)))
 
 
@@ -224,11 +224,10 @@ def _electric_components(tx, ty, tz, amp: ModeAmplitudes):
     yield amp.a_z * sx * sy * cz
 
 
-def _magnetic_components(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes,
-                         units: UnitSystem):
+def _magnetic_components(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes):
     """Yield B_x, B_y, B_z of curl(E)/omega; see _electric_components."""
     sx, sy, sz, cx, cy, cz = _sin_cos_pi(tx, ty, tz)
-    omega = units.omega(wv.k)
+    omega = wv.k
     yield (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz / omega
     yield -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz / omega
     yield (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz / omega
@@ -274,32 +273,31 @@ def electric_square_on_grid(x, y, z, wv: WaveVector,
     return _square_sum(_electric_components(*wv.phases(x, y, z), amp))
 
 
-def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes,
-                     units: UnitSystem) -> np.ndarray:
+def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     """Magnetic amplitude profile curl(E)/omega at one point or a batch.
 
-    omega = units.omega(k) is the mode's frequency.  The normal component
-    B_z is exactly 0.0 on both plates.  See the module docstring for the
+    omega = |k| is the mode's frequency.  The normal component B_z is
+    exactly 0.0 on both plates.  See the module docstring for the
     dropped quarter-period phase.
     """
     import numpy as np
     p = np.asarray(point, dtype=float)
     return np.stack(tuple(_magnetic_components(
-        *wv.phases(*np.moveaxis(p, -1, 0)), wv, amp, units)), axis=-1)
+        *wv.phases(*np.moveaxis(p, -1, 0)), wv, amp)), axis=-1)
 
 
-def magnetic_mode_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes,
-                          units: UnitSystem) -> np.ndarray:
+def magnetic_mode_on_grid(x, y, z, wv: WaveVector,
+                          amp: ModeAmplitudes) -> np.ndarray:
     """Magnetic amplitude profile on a grid; see electric_mode_on_grid."""
     import numpy as np
-    return np.stack(tuple(_magnetic_components(*wv.phases(x, y, z), wv, amp,
-                                               units)), axis=-1)
+    return np.stack(tuple(_magnetic_components(*wv.phases(x, y, z), wv, amp)),
+                    axis=-1)
 
 
-def magnetic_square_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes,
-                            units: UnitSystem) -> np.ndarray:
+def magnetic_square_on_grid(x, y, z, wv: WaveVector,
+                            amp: ModeAmplitudes) -> np.ndarray:
     """|B|^2 on the grid; see electric_square_on_grid."""
-    return _square_sum(_magnetic_components(*wv.phases(x, y, z), wv, amp, units))
+    return _square_sum(_magnetic_components(*wv.phases(x, y, z), wv, amp))
 
 
 def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:
@@ -340,13 +338,12 @@ def mean_square_E(amp: ModeAmplitudes, region: str) -> float:
 _TRANSVERSALITY_TOL = 1e-9
 
 
-def mean_square_B_boundary(wv: WaveVector, amp: ModeAmplitudes,
-                           units: UnitSystem) -> float:
+def mean_square_B_boundary(wv: WaveVector, amp: ModeAmplitudes) -> float:
     """Plate-averaged |B|^2, reduced to amplitudes via transversality.
 
     On a plate the two tangential components contribute
 
-        <B^2> = (A_z^2 + A^2 k_z^2 / k^2) / (4 c^2),
+        <B^2> = (A_z^2 + A^2 k_z^2 / k^2) / 4,
 
     a closed form that uses A . k = 0 to eliminate the cross terms.  Since
     that assumption is load-bearing, amplitudes violating it beyond
@@ -358,4 +355,4 @@ def mean_square_B_boundary(wv: WaveVector, amp: ModeAmplitudes,
             f"relative transversality residual {residual:.3e} exceeds "
             f"{_TRANSVERSALITY_TOL:.1e}")
     k = wv.k
-    return (amp.a_z**2 + amp.norm_squared * wv.k_z**2 / k**2) / (4.0 * units.c**2)
+    return (amp.a_z**2 + amp.norm_squared * wv.k_z**2 / k**2) / 4.0

@@ -10,7 +10,8 @@ plate area is
     R_n = integral over kappa of kappa (kappa^2 + (n pi/a)^2)^(-1/2)
           * exp(-lambda sqrt(kappa^2 + (n pi/a)^2))
 
-with n the plate-normal mode number.  Four independent evaluation routes
+with n the plate-normal mode number.  Units are natural (hbar = c = 1), so
+every value here is in units of hbar c.  Four independent evaluation routes
 are implemented:
 
   numeric     the n-sum with each R_n integrated numerically,
@@ -34,7 +35,6 @@ import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import PrecisionLossError, TailBoundError, check_positive_finite
-from .units import NATURAL, UnitSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,13 +191,12 @@ def _series_table(h_max: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(table)
 
 
-def _prefactor(a: float, units: UnitSystem) -> float:
+def _prefactor(a: float) -> float:
     """Common factor -(hbar c / (2 pi a)) (pi / a)^2 of the summation routes."""
-    return -(units.hbar_c / (2.0 * math.pi * a)) * (math.pi / a) ** 2
+    return -1.0 / (2.0 * math.pi * a) * (math.pi / a) ** 2
 
 
-def per_n_term(a: float, reg: Regulator, n: int,
-               units: UnitSystem = NATURAL) -> float:
+def per_n_term(a: float, reg: Regulator, n: int) -> float:
     """Exact contribution of plate-normal mode number n to F(a, lambda).
 
     The radial integral has the closed value R_n = (1/lambda)
@@ -208,7 +207,7 @@ def per_n_term(a: float, reg: Regulator, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = reg.lam
-    return (_prefactor(a, units) * n * n / lam) * math.exp(-lam * n * math.pi / a)
+    return (_prefactor(a) * n * n / lam) * math.exp(-lam * n * math.pi / a)
 
 
 def _geometric_tail(n: np.ndarray, q: float,
@@ -222,7 +221,7 @@ def _geometric_tail(n: np.ndarray, q: float,
                    + constant)
 
 
-def _tail_bound_factory(a: float, lam: float, units: UnitSystem):
+def _tail_bound_factory(a: float, lam: float):
     """Bound on the absolute tail of either n-sum route past each term n.
 
     Both routes have |term(m)| = |pref| m^2 (1/lambda) q^m with
@@ -235,7 +234,7 @@ def _tail_bound_factory(a: float, lam: float, units: UnitSystem):
     import numpy as np
     q = math.exp(-lam * math.pi / a)
     one_minus_q = -math.expm1(-lam * math.pi / a)
-    scale = abs(_prefactor(a, units)) / lam
+    scale = abs(_prefactor(a)) / lam
 
     def bound(ns: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -285,8 +284,8 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     return 0.5 * big_m[:, 0] * kernel.value
 
 
-def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
-                      *, tol: float = 1e-10) -> float:
+def force_sum_numeric(a: float, reg: Regulator, *,
+                      tol: float = 1e-10) -> float:
     """Regularized force per unit area by numerical n-sum and quadrature.
 
     Each radial integral is evaluated by double-exponential quadrature at a
@@ -312,7 +311,7 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
         raise ValueError(f"tol = {tol!r} is below {_MIN_NUMERIC_TOL:g}, the "
                          "smallest the numeric_sum route can meet")
     lam = reg.lam
-    pref = _prefactor(a, units)
+    pref = _prefactor(a)
     ratio = lam * math.pi / a
     with np.errstate(over="ignore", divide="ignore"):
         beta = np.float64(lam) * (math.pi / a)
@@ -337,12 +336,12 @@ def force_sum_numeric(a: float, reg: Regulator, units: UnitSystem = NATURAL,
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return pref * ns * ns * _radial_integrals(a, lam, ns, 0.1 * tol)
 
-    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam, units),
-                                tol, max_terms=_NUMERIC_N_MAX)
+    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam), tol,
+                                max_terms=_NUMERIC_N_MAX)
 
 
-def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
-                    *, tol: float = 1e-12) -> float:
+def force_per_n_sum(a: float, reg: Regulator, *,
+                    tol: float = 1e-12) -> float:
     """Regularized force per unit area by summing the exact per-n terms."""
     import numpy as np
     from .numerics import sum_until_tail_bound
@@ -350,14 +349,13 @@ def force_per_n_sum(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     lam = reg.lam
 
     def terms(ns: np.ndarray) -> np.ndarray:
-        return np.array([per_n_term(a, reg, n, units) for n in ns.tolist()])
+        return np.array([per_n_term(a, reg, n) for n in ns.tolist()])
 
-    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam, units),
-                                tol, max_terms=_PER_N_N_MAX)
+    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam), tol,
+                                max_terms=_PER_N_N_MAX)
 
 
-def force_closed_form(a: float, reg: Regulator,
-                      units: UnitSystem = NATURAL) -> float:
+def force_closed_form(a: float, reg: Regulator) -> float:
     """Regularized force per unit area in closed form.
 
     Summing the per-n terms as a geometric series in q = exp(-lambda pi / a)
@@ -379,15 +377,14 @@ def force_closed_form(a: float, reg: Regulator,
             "would lose all significant digits (use the series route instead)")
     q = math.exp(-x)
     one_minus_q = -math.expm1(-x)
-    return (_prefactor(a, units) / lam) * q * (1.0 + q) / one_minus_q**3
+    return (_prefactor(a) / lam) * q * (1.0 + q) / one_minus_q**3
 
 
 #: Truncation order of series_value; order 10 gives its estimate.
 _SERIES_H_MAX = 8
 
 
-def series_terms(a: float, reg: Regulator, h_max: int,
-                 units: UnitSystem = NATURAL) -> dict[int, float]:
+def series_terms(a: float, reg: Regulator, h_max: int) -> dict[int, float]:
     """Terms of the asymptotic expansion of F(a, lambda) through order h_max.
 
     Expanding q (1+q) / (1-q)^3 = sum_h B_h (-x)^h (h-1)(h-2) / (2 h!) in
@@ -406,13 +403,11 @@ def series_terms(a: float, reg: Regulator, h_max: int,
         raise ValueError("h_max must be at least 5 to reach past the "
                          "finite part")
     lam = reg.lam
-    return {h: (num / den * units.hbar_c * math.pi ** (h - 2)
-                * a ** (-h) * lam ** (h - 4))
+    return {h: (num / den * math.pi ** (h - 2) * a ** (-h) * lam ** (h - 4))
             for h, num, den in _series_table(h_max)}
 
 
-def series_value(a: float, reg: Regulator,
-                 units: UnitSystem = NATURAL) -> tuple[float, float]:
+def series_value(a: float, reg: Regulator) -> tuple[float, float]:
     """Asymptotic series for F(a, lambda) through order 8, with an estimate.
 
     Returns (value, estimate).  The estimate is the magnitude of the first
@@ -421,15 +416,14 @@ def series_value(a: float, reg: Regulator,
     m terms summed, which dominates below lambda pi / a of about 0.1,
     where the pole and the finite part cancel.
     """
-    terms = series_terms(a, reg, _SERIES_H_MAX + 2, units)
+    terms = series_terms(a, reg, _SERIES_H_MAX + 2)
     estimate = abs(terms.pop(_SERIES_H_MAX + 2))
     rounding = (4 * len(terms) * sys.float_info.epsilon
                 * math.fsum(map(abs, terms.values())))
     return sum(terms.values()), estimate + rounding
 
 
-def asymptotic_parts(a: float,
-                     units: UnitSystem = NATURAL) -> tuple[float, float]:
+def asymptotic_parts(a: float) -> tuple[float, float]:
     """(divergent_coefficient, finite_part) of F(a, lambda) as lambda -> 0.
 
     The h = 0 series term gives divergent_coefficient = -hbar c / pi^2,
@@ -440,14 +434,13 @@ def asymptotic_parts(a: float,
     """
     check_positive_finite("a", a)
     coeffs = {h: num / den for h, num, den in _series_table(4)}
-    return (coeffs[0] * units.hbar_c / math.pi**2,
-            coeffs[4] * units.hbar_c * math.pi**2 / a**4)
+    return coeffs[0] / math.pi**2, coeffs[4] * math.pi**2 / a**4
 
 
-def casimir_closed_form(a: float, units: UnitSystem = NATURAL) -> float:
+def casimir_closed_form(a: float) -> float:
     """Magnitude pi^2 hbar c / (240 a^4) of the attractive Casimir pressure."""
     check_positive_finite("a", a)
-    return math.pi**2 * units.hbar_c / (240.0 * a**4)
+    return math.pi**2 / (240.0 * a**4)
 
 
 def default_lambda_grid(a: float) -> list[float]:
@@ -468,9 +461,8 @@ def default_lambda_grid(a: float) -> list[float]:
     return grid
 
 
-def extract_finite_part(a: float,
-                        lambda_grid: Iterable[Regulator | float],
-                        units: UnitSystem = NATURAL) -> ExtractedForce:
+def extract_finite_part(a: float, lambda_grid: Iterable[Regulator | float]
+                        ) -> ExtractedForce:
     """Recover the finite part of F(a, lambda) numerically, without the series.
 
     Samples the closed-form force on the given regulator grid and fits
@@ -510,13 +502,11 @@ def extract_finite_part(a: float,
         raise PrecisionLossError(
             f"extract at a = {a!r}: the lambda**-4 column of the fit leaves "
             "the double range")
-    samples = [(lam, force_closed_form(a, Regulator(lam), units))
-               for lam in lams]
+    samples = [(lam, force_closed_form(a, Regulator(lam))) for lam in lams]
     return ExtractedForce(*fit_linear_basis(samples, BASIS_EXPONENTS))
 
 
-def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,
-              route: str = "closed_form", *,
+def decompose(a: float, reg: Regulator, route: str = "closed_form", *,
               tol: float = 1e-10) -> RegularizedForce:
     """Evaluate F(a, lambda) by the named route, with its error and split.
 
@@ -525,27 +515,34 @@ def decompose(a: float, reg: Regulator, units: UnitSystem = NATURAL,
     omitted term plus the rounding of the terms summed; see series_value).
     Every route rejects a tol that is not positive and finite.  Raises
     PrecisionLossError, naming the route, a and lambda, when a field of the
-    record would overflow or be non-finite.
+    record would overflow or be non-finite, or when the error estimate is
+    not below |total|, so that not even the sign of the force is known.
     """
     check_positive_finite("tol", tol)
+    where = f"{route} route at a = {a!r}, lambda = {reg.lam!r}"
     try:
         if route == "closed_form":
-            total = force_closed_form(a, reg, units)
+            total = force_closed_form(a, reg)
             estimate = 1e-14 * abs(total)
         elif route == "numeric_sum":
-            total = force_sum_numeric(a, reg, units, tol=tol)
+            total = force_sum_numeric(a, reg, tol=tol)
             estimate = tol * abs(total)
         elif route == "series":
-            total, estimate = series_value(a, reg, units)
+            total, estimate = series_value(a, reg)
         else:
             raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
         force = RegularizedForce(route, reg.lam, total, estimate,
-                                 *asymptotic_parts(a, units))
+                                 *asymptotic_parts(a))
         # the remainder is non-finite whenever total, divergent_part or
         # finite_part is
-        if math.isfinite(force.remainder) and math.isfinite(estimate):
-            return force
+        in_range = math.isfinite(force.remainder) and math.isfinite(estimate)
     except ArithmeticError:
-        pass
-    raise PrecisionLossError(f"{route} route at a = {a!r}, lambda = {reg.lam!r}: "
-                             "the force or its split leaves the double range")
+        in_range = False
+    if not in_range:
+        raise PrecisionLossError(f"{where}: the force or its split leaves the "
+                                 "double range")
+    if estimate >= abs(total):
+        raise PrecisionLossError(
+            f"{where}: the error estimate {estimate:.3g} is not below "
+            f"|force| = {abs(total):.3g}, so no digit of it is significant")
+    return force

@@ -5,6 +5,7 @@ assertions hold (run pytest with -s to see them), and carries the tolerance
 and runtime budget it enforces in its assertions.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ from casimir_plates import regsum, verify
 from casimir_plates.cli import main
 from casimir_plates.modes import CavityGeometry, ModeIndex
 from casimir_plates.stress import sigma_zz_direct, sigma_zz_mode
-from casimir_plates.units import NATURAL, SI
+from casimir_plates.units import HBAR_C_SI
 
 GEOMETRIES = (CavityGeometry(a=1.0, L=1.0), CavityGeometry(a=0.7, L=2.0))
 
@@ -50,9 +51,9 @@ def test_route_equivalence():
     for a in (0.5, 1.0, 2.0):
         for ratio in (0.05, 0.1, 0.5, 1.0):
             reg = regsum.Regulator(ratio * a / math.pi)
-            closed = regsum.force_closed_form(a, reg, NATURAL)
-            numeric = regsum.force_sum_numeric(a, reg, NATURAL, tol=1e-10)
-            per_n = regsum.force_per_n_sum(a, reg, NATURAL, tol=1e-12)
+            closed = regsum.force_closed_form(a, reg)
+            numeric = regsum.force_sum_numeric(a, reg, tol=1e-10)
+            per_n = regsum.force_per_n_sum(a, reg, tol=1e-12)
             scale = abs(closed)
             for x in (closed, numeric, per_n):
                 for y in (closed, numeric, per_n):
@@ -117,9 +118,8 @@ def test_stress_oracle_agreement():
             for ny in range(1, 4):
                 for nz in range(1, 4):
                     mode = ModeIndex(nx, ny, nz)
-                    want = sigma_zz_mode(mode, geom, NATURAL)
-                    got = sigma_zz_direct(mode, geom, NATURAL,
-                                          polarization_angle=0.5)
+                    want = sigma_zz_mode(mode, geom)
+                    got = sigma_zz_direct(mode, geom, polarization_angle=0.5)
                     worst = max(worst, abs(got - want) / abs(want))
                     count += 1
     elapsed = time.perf_counter() - start
@@ -151,11 +151,13 @@ def test_verify_command_green(capsys, profile, units):
           f"{len(lines)} checks green")
 
 
-def test_si_pressure_at_one_micrometre():
+def test_si_pressure_at_one_micrometre(capsys):
     """Closed form and extraction both give 1.30e-3 Pa at a = 1 um within 1%."""
-    a = 1e-6
-    closed = regsum.casimir_closed_form(a, SI)
-    fitted = regsum.extract_finite_part(a, _grid(a), SI).finite_part
+    assert main(["extract", "--a", "1e-6", "--units", "si", "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    closed = document["casimir_closed_form"]
+    fitted = document["finite_part"]
+    assert closed == regsum.casimir_closed_form(1e-6) * HBAR_C_SI
     assert closed == pytest.approx(1.30e-3, rel=0.01)
     assert fitted == pytest.approx(1.30e-3, rel=0.01)
     print(f"PASS: SI pressure at 1 um: closed {closed:.6e} Pa, "

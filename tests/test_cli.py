@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from casimir_plates import cli, regsum
 from casimir_plates.cli import main
-from casimir_plates.units import SI
+from casimir_plates.units import HBAR_C_SI
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +58,7 @@ class TestForce:
         assert code == 0
         row = json.loads(out)["row"]
         assert row["finite_part"] == pytest.approx(
-            regsum.casimir_closed_form(1e-6, SI), rel=1e-14)
+            regsum.casimir_closed_form(1e-6) * HBAR_C_SI, rel=1e-14)
 
     def test_numeric_route(self, capsys):
         code, out, _ = run_cli(capsys, "force", "--a", "1", "--lambda", "0.2",
@@ -190,11 +190,10 @@ class TestModes:
         assert len(rows) == 8
         from casimir_plates.modes import CavityGeometry, ModeIndex, wave_vector
         from casimir_plates.stress import sigma_zz_mode
-        from casimir_plates.units import NATURAL
         mode, geom = ModeIndex(2, 1, 2), CavityGeometry(a=0.7, L=2.0)
         got = next(r for r in rows if r["n_x"] == "2" and r["n_y"] == "1"
                    and r["n_z"] == "2")
-        assert float(got["sigma_zz"]) == sigma_zz_mode(mode, geom, NATURAL)
+        assert float(got["sigma_zz"]) == sigma_zz_mode(mode, geom)
         assert float(got["kappa"]) == wave_vector(mode, geom).kappa
 
 
@@ -284,6 +283,58 @@ def test_json_document_carries_the_envelope(capsys, argv, units):
     assert doc["units"] == units
 
 
+#: One call of each command whose output carries a pressure, on every
+#: force route.
+SI_ARGV = [
+    *(["force", "--a", "1e-6", "--lambda", "3e-8", "--route", route, "--json"]
+      for route in regsum.ROUTES),
+    ["sweep", "--a", "1e-6,2e-6", "--lambda", "3e-8,5e-8", "--routes",
+     "closed_form,numeric_sum,series", "--format", "json"],
+    ["extract", "--a", "1e-6", "--json"],
+    ["modes", "--a", "1e-6", "--L", "2e-6", "--n-max", "2", "--format",
+     "json"],
+]
+
+#: The fields that scale with hbar c; kappa, a, L and lambda do not.
+PRESSURES = {"force_per_area", "divergent_part", "finite_part", "remainder",
+             "error_estimate", "divergent_coefficient", "casimir_closed_form",
+             "coefficients", "residual_norm", "sigma_zz"}
+
+
+def _times_hbar_c(node, key=None):
+    """node with every number under a PRESSURES key times HBAR_C_SI."""
+    if isinstance(node, dict):
+        return {k: _times_hbar_c(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_times_hbar_c(v, key) for v in node]
+    return node * HBAR_C_SI if key in PRESSURES else node
+
+
+def _documents(capsys, argv):
+    """The natural and the SI JSON document of argv, without units."""
+    documents = []
+    for units in ("natural", "si"):
+        code, out, err = run_cli(capsys, *argv, "--units", units)
+        assert (code, err) == (0, "")
+        documents.append(json.loads(out))
+        assert documents[-1].pop("units") == units
+    return documents
+
+
+@pytest.mark.parametrize("argv", SI_ARGV, ids=" ".join)
+def test_si_output_is_natural_output_times_hbar_c(capsys, argv):
+    natural, si = _documents(capsys, argv)
+    assert si == _times_hbar_c(natural)
+    assert si != natural
+
+
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_verify_in_si_runs_the_natural_checks(capsys, profile):
+    natural, si = _documents(capsys, ["verify", "--json", "--profile",
+                                      profile])
+    assert si == natural
+
+
 def test_script_exit_reports_a_failed_flush():
     # stdout is a buffered pipe whose reader is gone, so the output first
     # reaches it in the flush at exit, which fails
@@ -360,7 +411,7 @@ class TestConfigPrecedence:
                             "3e-8", "--json")
         row = json.loads(out)["row"]
         assert row["finite_part"] == pytest.approx(
-            regsum.casimir_closed_form(1e-6, SI), rel=1e-14)
+            regsum.casimir_closed_form(1e-6) * HBAR_C_SI, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["si", "SI"])
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
@@ -605,6 +656,11 @@ ONE_LINE_FAILURES = [
      "double range"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
       "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
+    # at lambda pi / a = 6.3 the series' own estimate exceeds |F|, whose
+    # sign it once printed wrong with exit 0
+    (["force", "--a", "1", "--lambda", "2", "--route", "series"], 2,
+     "series route at a = 1.0, lambda = 2.0: the error estimate 0.456 is "
+     "not below |force| = 0.173, so no digit of it is significant"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
       "--tol=1e-20"], 2, "tol = 1e-20 is below 1e-15"),
     (["force", "--a", "1", "--lambda", "1e-200", "--route", "numeric_sum"],

@@ -34,7 +34,7 @@ from casimir_plates.regsum import (
     series_terms,
     series_value,
 )
-from casimir_plates.units import NATURAL, SI
+from casimir_plates.units import HBAR_C_SI
 
 separations = st.floats(min_value=0.3, max_value=3.0)
 cutoff_ratios = st.floats(min_value=0.05, max_value=2.0)
@@ -96,8 +96,8 @@ class TestPerNTerm:
     @given(a=separations, ratio=cutoff_ratios)
     def test_sum_matches_closed_form(self, a, ratio):
         reg = Regulator(ratio * a / math.pi)
-        summed = force_per_n_sum(a, reg, NATURAL, tol=1e-13)
-        closed = force_closed_form(a, reg, NATURAL)
+        summed = force_per_n_sum(a, reg, tol=1e-13)
+        closed = force_closed_form(a, reg)
         assert summed == pytest.approx(closed, rel=1e-11)
 
 
@@ -128,8 +128,8 @@ class TestClosedForm:
 class TestNumericSum:
     def test_matches_closed_form_spot(self):
         a, reg = 1.0, Regulator(0.1)
-        numeric = force_sum_numeric(a, reg, NATURAL, tol=1e-10)
-        closed = force_closed_form(a, reg, NATURAL)
+        numeric = force_sum_numeric(a, reg, tol=1e-10)
+        closed = force_closed_form(a, reg)
         assert numeric == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("ratio", [12.0, 5.0 * math.pi, 20.0, 360.0,
@@ -139,16 +139,16 @@ class TestNumericSum:
         # range (lambda pi n / a > 708) long before the sum stops
         a = 1.0
         reg = Regulator(ratio * a / math.pi)
-        numeric = force_sum_numeric(a, reg, NATURAL, tol=1e-10)
-        closed = force_closed_form(a, reg, NATURAL)
+        numeric = force_sum_numeric(a, reg, tol=1e-10)
+        closed = force_closed_form(a, reg)
         assert numeric == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("ratio", [700.0, 722.6, 740.0])
     def test_subnormal_force_does_not_raise(self, ratio):
         a = 1.0
         reg = Regulator(ratio * a / math.pi)
-        numeric = force_sum_numeric(a, reg, NATURAL, tol=1e-10)
-        closed = force_closed_form(a, reg, NATURAL)
+        numeric = force_sum_numeric(a, reg, tol=1e-10)
+        closed = force_closed_form(a, reg)
         assert abs(numeric - closed) <= 1e-4 * abs(closed) + 1e-320
 
     @pytest.mark.parametrize("ratio", [0.02, 0.05, 0.1, 0.2])
@@ -183,23 +183,23 @@ class TestNumericSum:
 
         monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
         monkeypatch.setattr(numerics, "sum_until_tail_bound", counting_sum)
-        force_sum_numeric(1.0, Regulator(ratio / math.pi), NATURAL, tol=1e-10)
+        force_sum_numeric(1.0, Regulator(ratio / math.pi), tol=1e-10)
         (rows, summed), = counts
         assert summed <= rows <= 1.05 * summed
 
     @pytest.mark.parametrize("tol", [9.9e-16, 1e-20, 5e-324])
     def test_rejects_tol_below_floor(self, tol):
         with pytest.raises(ValueError, match=f"tol = {tol!r} is below 1e-15"):
-            force_sum_numeric(1.0, Regulator(0.1), NATURAL, tol=tol)
+            force_sum_numeric(1.0, Regulator(0.1), tol=tol)
         with pytest.raises(ValueError, match=f"tol = {tol!r}") as exc:
-            decompose(1.0, Regulator(0.1), NATURAL, "numeric_sum", tol=tol)
+            decompose(1.0, Regulator(0.1), "numeric_sum", tol=tol)
         assert exc.type is ValueError
 
     def test_tol_floor_admits_the_floor(self):
         # 1e-15 is not rejected up front: the quadrature then converges or
         # fails on its own terms, depending on the cutoff
         try:
-            force_sum_numeric(1.0, Regulator(0.1 / math.pi), NATURAL,
+            force_sum_numeric(1.0, Regulator(0.1 / math.pi),
                               tol=1e-15)
         except QuadratureError:
             pass
@@ -208,7 +208,7 @@ class TestNumericSum:
         # at lambda pi / a = 0.006 the sum needs more than its 4000 terms,
         # which the budget check sees before the first term is summed
         with pytest.raises(TailBoundError) as info:
-            force_sum_numeric(1.0, Regulator(0.006 / math.pi), NATURAL)
+            force_sum_numeric(1.0, Regulator(0.006 / math.pi))
         assert info.value.bound > 0.0
         assert info.value.partial_sum == 0.0
 
@@ -229,12 +229,12 @@ class TestNumericSum:
         with pytest.raises(TailBoundError,
                            match=f"lambda\\*pi/a = {ratio:.3e} is below the "
                                  "4000-term budget"):
-            force_sum_numeric(1.0, Regulator(ratio / math.pi), NATURAL)
+            force_sum_numeric(1.0, Regulator(ratio / math.pi))
         assert calls == []
 
     def test_converges_just_above_the_budget(self):
         reg = Regulator(0.0075 / math.pi)
-        numeric = force_sum_numeric(1.0, reg, NATURAL, tol=1e-10)
+        numeric = force_sum_numeric(1.0, reg, tol=1e-10)
         assert numeric == pytest.approx(force_closed_form(1.0, reg), rel=1e-9)
 
     def test_unreachable_tolerance_fails_after_first_block(self, monkeypatch):
@@ -249,7 +249,7 @@ class TestNumericSum:
 
         monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
         with pytest.raises(TailBoundError, match="after 4000 terms"):
-            force_sum_numeric(1.0, Regulator(0.006 / math.pi), NATURAL)
+            force_sum_numeric(1.0, Regulator(0.006 / math.pi))
         assert sum(integrated) <= 64
 
 
@@ -262,7 +262,7 @@ class TestNumericSum:
         with pytest.raises(PrecisionLossError,
                            match=r"lambda\*pi/a = 3\.142e-200: the exp-sinh "
                                  r"scale 1/beta\^2"):
-            force_sum_numeric(1.0, Regulator(1e-200), NATURAL)
+            force_sum_numeric(1.0, Regulator(1e-200))
         assert calls == []
 
 
@@ -294,8 +294,7 @@ class TestSeries:
         series_coefficients(8)[4] = (0, 1)
         assert series_coefficients(8)[4] == (1, 240)
 
-    @pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-    def test_integer_table_matches_fraction_recurrence(self, units):
+    def test_integer_table_matches_fraction_recurrence(self):
         # reference: the recurrence and the series coefficient in Fractions
         a, lam = 0.7, 0.1
         for h_max in range(4, 41):
@@ -314,18 +313,18 @@ class TestSeries:
             assert series_coefficients(h_max) == {
                 h: (c.numerator, c.denominator) for h, c in want.items()}
             if h_max >= 5:
-                assert series_terms(a, Regulator(lam), h_max, units) == {
-                    h: (float(c) * units.hbar_c * math.pi ** (h - 2)
+                assert series_terms(a, Regulator(lam), h_max) == {
+                    h: (float(c) * math.pi ** (h - 2)
                         * a ** (-h) * lam ** (h - 4))
                     for h, c in want.items()}
-        assert asymptotic_parts(a, units) == (
-            float(Fraction(-1)) * units.hbar_c / math.pi**2,
-            float(Fraction(1, 240)) * units.hbar_c * math.pi**2 / a**4)
+        assert asymptotic_parts(a) == (
+            float(Fraction(-1)) / math.pi**2,
+            float(Fraction(1, 240)) * math.pi**2 / a**4)
 
     def test_series_approximates_closed_form(self):
         a, reg = 1.0, Regulator(0.05 / math.pi)
-        total, estimate = series_value(a, reg, NATURAL)
-        closed = force_closed_form(a, reg, NATURAL)
+        total, estimate = series_value(a, reg)
+        closed = force_closed_form(a, reg)
         assert total == pytest.approx(closed, rel=1e-9)
         assert 0.0 < estimate < 1e-6 * abs(closed)
 
@@ -341,7 +340,7 @@ class TestSeries:
             ctx.prec = 50
             for a, ratio in itertools.product(a_values, ratios):
                 lam = ratio * a / math.pi
-                total, estimate = series_value(a, Regulator(lam), NATURAL)
+                total, estimate = series_value(a, Regulator(lam))
                 exact_a, exact_lam = Decimal(a), Decimal(lam)
                 q = (-exact_lam * _PI_50 / exact_a).exp()
                 want = (-(_PI_50 / exact_a) ** 2 / (2 * _PI_50 * exact_a)
@@ -374,7 +373,7 @@ class TestAsymptoticParts:
             asymptotic_parts(1.0)[1], rel=1e-15)
 
     def test_si_micrometre_pressure(self):
-        got = casimir_closed_form(1e-6, SI)
+        got = casimir_closed_form(1e-6) * HBAR_C_SI
         assert got == pytest.approx(0.001300114763085167, rel=1e-12)
 
 
@@ -442,11 +441,11 @@ class TestExtraction:
 class TestRoutesAndDecomposition:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
-            decompose(1.0, Regulator(0.1), NATURAL, "exact")
+            decompose(1.0, Regulator(0.1), "exact")
 
     def test_route_error_estimates_positive(self):
         for route in ("closed_form", "numeric_sum", "series"):
-            dec = decompose(1.0, Regulator(0.1), NATURAL, route)
+            dec = decompose(1.0, Regulator(0.1), route)
             assert dec.total < 0.0
             assert dec.error_estimate > 0.0
 
@@ -474,8 +473,29 @@ class TestRoutesAndDecomposition:
     ])
     def test_out_of_range_split_is_precision_loss(self, a, lam, route):
         with pytest.raises(PrecisionLossError) as exc:
-            decompose(a, Regulator(lam), NATURAL, route)
+            decompose(a, Regulator(lam), route)
         assert f"{route} route at a = {a!r}, lambda = {lam!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("ratio, route, tol", [
+        (4.0, "series", 1e-10),          # estimate 5.25 |F|
+        (2.0 * math.pi, "series", 1e-10),
+        (1000.0, "closed_form", 1e-10),  # F underflows to -0.0
+        (1.0, "numeric_sum", 1.0),
+    ])
+    def test_force_without_a_significant_digit_is_refused(self, ratio, route,
+                                                          tol):
+        lam = ratio / math.pi
+        with pytest.raises(PrecisionLossError) as exc:
+            decompose(1.0, Regulator(lam), route, tol=tol)
+        assert str(exc.value).startswith(
+            f"{route} route at a = 1.0, lambda = {lam!r}: the error estimate ")
+        assert str(exc.value).endswith("so no digit of it is significant")
+
+    @pytest.mark.parametrize("ratio, relative", [(1.0, 1e-6), (3.0, 0.06)])
+    def test_series_keeps_a_force_with_significant_digits(self, ratio,
+                                                          relative):
+        dec = decompose(1.0, Regulator(ratio / math.pi), "series")
+        assert dec.error_estimate < relative * abs(dec.total)
 
 
 @pytest.mark.parametrize("a", [math.nan, 0.0, -1.0, math.inf])

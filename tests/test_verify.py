@@ -11,7 +11,6 @@ import pytest
 
 from casimir_plates import modes, verify
 from casimir_plates.numerics import mean_over_box, mean_over_rectangle
-from casimir_plates.units import NATURAL, SI
 
 
 def _scaled(monkeypatch, name):
@@ -20,26 +19,23 @@ def _scaled(monkeypatch, name):
                         lambda *args: exact(*args) * (1.0 + 1e-6))
 
 
-@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-def test_checks_pass_with_the_exact_closed_forms(units):
-    assert verify.check_bulk_mean_square(units).passed
-    assert verify.check_boundary_mean_squares(units).passed
+def test_checks_pass_with_the_exact_closed_forms():
+    assert verify.check_bulk_mean_square().passed
+    assert verify.check_boundary_mean_squares().passed
 
 
-@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-def test_bulk_check_fails_against_a_scaled_mean(monkeypatch, units):
+def test_bulk_check_fails_against_a_scaled_mean(monkeypatch):
     _scaled(monkeypatch, "mean_square_E")
-    result = verify.check_bulk_mean_square(units)
+    result = verify.check_bulk_mean_square()
     assert result.name == "bulk_mean_square_E"
     assert not result.passed
     assert result.residual == pytest.approx(1e-6, rel=1e-3)
 
 
 @pytest.mark.parametrize("name", ["mean_square_E", "mean_square_B_boundary"])
-@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-def test_boundary_check_fails_against_a_scaled_mean(monkeypatch, units, name):
+def test_boundary_check_fails_against_a_scaled_mean(monkeypatch, name):
     _scaled(monkeypatch, name)
-    result = verify.check_boundary_mean_squares(units)
+    result = verify.check_boundary_mean_squares()
     assert result.name == "boundary_mean_squares"
     assert not result.passed
     assert result.residual > 1e-9
@@ -63,35 +59,33 @@ def _phase_faulty(monkeypatch):
     monkeypatch.setattr(modes, "wave_vector", faulty)
 
 
-@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-def test_mean_checks_fail_on_fields_with_faulty_phases(monkeypatch, units):
+def test_mean_checks_fail_on_fields_with_faulty_phases(monkeypatch):
     _phase_faulty(monkeypatch)
     for check in (verify.check_bulk_mean_square,
                   verify.check_boundary_mean_squares):
-        result = check(units)
+        result = check()
         assert not result.passed, result
         assert result.residual > 1e-4
 
 
-@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-def test_kernel_estimate_shows_faulty_phases(monkeypatch, units):
+def test_kernel_estimate_shows_faulty_phases(monkeypatch):
     _phase_faulty(monkeypatch)
     box, plate = [], []
     for geom in verify._GEOMS:
         for n in itertools.product(range(1, 4), repeat=3):
             mode = modes.ModeIndex(*n)
             wv = modes.wave_vector(mode, geom)
-            amp = modes.mode_amplitudes(mode, geom, units, 0.6)
+            amp = modes.mode_amplitudes(mode, geom, 0.6)
             box.append(mean_over_box(
                 lambda *xyz: modes.electric_square_on_grid(*xyz, wv, amp),
                 geom.L, geom.L, geom.a, max(mode)))
-            amp = modes.mode_amplitudes(mode, geom, units, 0.8)
+            amp = modes.mode_amplitudes(mode, geom, 0.8)
             plate += [mean_over_rectangle(square, geom.L, geom.L, max(mode))
                       for square in (
                           lambda xs, ys: modes.electric_square_on_grid(
                               xs, ys, 0.0, wv, amp),
                           lambda xs, ys: modes.magnetic_square_on_grid(
-                              xs, ys, 0.0, wv, amp, units))]
+                              xs, ys, 0.0, wv, amp))]
     for means in (box, plate):
         relative = [m.error_estimate / m.value for m in means]
         # the estimate detects the fault, though it does not bound the
@@ -107,10 +101,9 @@ TIGHTENED = {"fd_divergence_zero", "bulk_mean_square_E",
              "route_agreement"}
 
 
-@pytest.mark.parametrize("units", [NATURAL, SI], ids=["natural", "si"])
-def test_strict_profile_tightens_exactly_the_named_bounds(units):
-    default = verify.run_all("default", units=units)
-    strict = verify.run_all("strict", units=units)
+def test_strict_profile_tightens_exactly_the_named_bounds():
+    default = verify.run_all("default")
+    strict = verify.run_all("strict")
     assert ([(r.name, r.residual, r.detail) for r in strict]
             == [(r.name, r.residual, r.detail) for r in default])
     assert len(default) == 17

@@ -10,8 +10,8 @@ The attraction emerges in three layers, each exposed on its own:
 numerics holds the shared kernels (quadrature, tail-bounded sums, basis
 fits), errors the error types and the shared input check, verify the
 cross-layer self-checks, and cli the command line.  Every layer computes
-in natural units (hbar = c = eps0 = 1); units holds the factor hbar c by
-which the command line turns each printed pressure into pascals.
+in natural units (hbar = c = eps0 = 1); the command line alone turns a
+printed pressure into pascals, by the factor cli.HBAR_C_SI.
 
 The package loads each layer on first use: importing it runs no layer, and
 a public name below imports its layer when it is first looked up.  Every
@@ -34,11 +34,10 @@ _LAYER_OF = {name: layer for layer, names in {
                "extract_finite_part", "force_closed_form", "force_per_n_sum",
                "force_sum_numeric", "series_terms"),
     "stress": ("sigma_zz_direct", "sigma_zz_mode", "stress_tensor"),
-    "units": ("NATURAL", "SI", "UnitSystem", "get_units"),
 }.items() for name in names}
 
 #: Layers reachable as attributes of the package without an import.
-_LAYERS = ("modes", "numerics", "regsum", "stress", "units")
+_LAYERS = ("modes", "numerics", "regsum", "stress")
 
 __version__ = "0.1.0"
 

@@ -33,9 +33,12 @@ from typing import Any, Callable, NoReturn, Sequence
 # each command imports the layers it runs, so that start-up pays for no
 # other
 from .errors import IllConditionedFitError, NumericsError, PrecisionLossError
-from .units import get_units
 
 SCHEMA_VERSION = 1
+
+HBAR_C_SI = 3.1615e-26          # J m
+#: hbar c in each unit system: the factor of every printed pressure
+_HBAR_C = {"natural": 1.0, "si": HBAR_C_SI}
 
 SWEEP_COLUMNS = ("a", "lambda", "route", "force_per_area", "divergent_part",
                  "finite_part", "remainder", "error_estimate")
@@ -146,21 +149,28 @@ def _print_csv(columns: Sequence[str], rows: list[dict]) -> None:
     print("\n".join(lines))
 
 
-def _in_units(fields: dict, units) -> dict:
+def _unit_system(text: str) -> str:
+    """The unit system named by text, in any case: 'natural' or 'si'."""
+    if text.lower() in _HBAR_C:
+        return text.lower()
+    raise ValueError(f"unknown unit system {text!r}; expected 'natural' or 'si'")
+
+
+def _in_units(fields: dict, units: str) -> dict:
     """fields with each of PRESSURE_FIELDS, computed in natural units,
-    multiplied by units.hbar_c; a list is scaled entry by entry."""
-    scale = units.hbar_c
+    multiplied by the hbar c of units; a list is scaled entry by entry."""
+    scale = _HBAR_C[units]
     return {key: value if key not in PRESSURE_FIELDS
             else [scale * v for v in value] if isinstance(value, list)
             else scale * value
             for key, value in fields.items()}
 
 
-def _print_json(command: str, units, fields: dict) -> None:
+def _print_json(command: str, units: str, fields: dict) -> None:
     """One JSON document: the versioned envelope and the command's fields."""
     import json
     document = {"schema_version": SCHEMA_VERSION, "command": command,
-                "units": units.name, **fields}
+                "units": units, **fields}
     print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
 
 
@@ -234,17 +244,18 @@ def cmd_sweep(args, cfg, units) -> int:
         except ValueError as exc:
             return exc
 
-    # the numeric_sum cells run first, over all CPUs, the costliest first:
-    # a cell's work grows like 1 / (lambda pi / a); the others take
-    # microseconds and load neither numpy nor the kernels
-    numeric = sorted((i for i, cell in enumerate(cells)
-                      if cell[2] == "numeric_sum"),
-                     key=lambda i: cells[i][1] / cells[i][0] if cells[i][0]
-                     else math.inf)
+    # the cells of a route with a fork key run first, over all CPUs; the
+    # others take microseconds and load neither numpy nor the kernels, and
+    # an unknown route runs inline, so decompose rejects it in emission order
+    from . import regsum
+    fork_keys = {entry.name: entry.fork_key for entry in regsum._ROUTE_TABLE
+                 if entry.fork_key is not None}
+    forked = sorted((i for i, cell in enumerate(cells) if cell[2] in fork_keys),
+                    key=lambda i: fork_keys[cells[i][2]](*cells[i][:2]))
     done = {}
-    if numeric:
+    if forked:
         from .numerics import parallel_map
-        done = dict(zip(numeric, parallel_map(outcome, numeric)))
+        done = dict(zip(forked, parallel_map(outcome, forked)))
 
     rows = []
     failures = 0
@@ -419,7 +430,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.handler(args, cfg, _setting(args.units, "units", cfg,
-                                                get_units))
+                                                _unit_system))
     except IllConditionedFitError as exc:
         print(f"casimir: fit failed: {exc}", file=sys.stderr)
         return 1

@@ -182,14 +182,15 @@ def wave_vector(mode: ModeIndex, geom: CavityGeometry) -> WaveVector:
 
 
 def amplitude_norm_squared(mode: ModeIndex, geom: CavityGeometry) -> float:
-    """Squared amplitude A^2 = 2 hbar omega / (eps0 L^2 a) = 2 k / (L^2 a).
+    """Squared amplitude A^2 = 4 hbar omega / (eps0 L^2 a) = 4 k / (L^2 a).
 
-    This is the per-mode field scale of the vacuum state; every average and
+    The vacuum field scale of one mode: the box mean of (|E|^2 + |B|^2) / 2
+    times L^2 a is then the zero-point energy k / 2.  Every average and
     stress formula downstream is linear in it and uses the same
     profile-square convention (see the module docstring of stress.py).
     """
     k = wave_vector(mode, geom).k
-    return 2.0 * k / (geom.L**2 * geom.a)
+    return 4.0 * k / (geom.L**2 * geom.a)
 
 
 def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry,

@@ -11,13 +11,12 @@ plate area is
           * exp(-lambda sqrt(kappa^2 + (n pi/a)^2))
 
 with n the plate-normal mode number.  Units are natural (hbar = c = 1), so
-every value here is in units of hbar c.  Four independent evaluation routes
-are implemented:
-
-  numeric     the n-sum with each R_n integrated numerically,
-  per-n       R_n replaced by its exact value (1/lambda) e^(-lambda n pi/a),
-  closed form the per-n geometric series summed exactly,
-  series      an asymptotic expansion in lambda via Bernoulli numbers.
+every value here is in units of hbar c.  decompose's table holds the three
+routes of the command line, each one entry plus its kernel: closed_form
+(the per-n geometric series summed exactly), numeric_sum (the n-sum with
+each R_n integrated numerically) and series (an asymptotic expansion in
+lambda via Bernoulli numbers).  per-n (force_per_n_sum: R_n replaced by its
+exact value (1/lambda) e^(-lambda n pi/a)) is verify's oracle.
 
 The series exposes the small-lambda structure: a lambda^-4 pole whose
 coefficient -hbar c / pi^2 does not depend on the plate separation, a
@@ -32,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import PrecisionLossError, TailBoundError, check_positive_finite
 
@@ -59,9 +58,6 @@ __all__ = [
     "casimir_closed_form",
     "decompose",
 ]
-
-#: Evaluation routes selectable from the command line.
-ROUTES = ("closed_form", "numeric_sum", "series")
 
 #: Exponents of the regulator powers present in F(a, lambda) for small
 #: lambda: the pole, the finite part, and the two leading terms that vanish
@@ -506,13 +502,46 @@ def extract_finite_part(a: float, lambda_grid: Iterable[Regulator | float]
     return ExtractedForce(*fit_linear_basis(samples, BASIS_EXPONENTS))
 
 
+class _Route(NamedTuple):
+    """A force route: evaluate(a, reg, tol) gives (total, error estimate);
+    fork_key is None if sweep runs its cells inline, else it maps (a, lam)
+    to the key that sorts the forked cells costliest first."""
+
+    name: str
+    evaluate: Callable[[float, Regulator, float], tuple[float, float]]
+    fork_key: Callable[[float, float], float] | None
+
+
+def _closed_form_route(a: float, reg: Regulator, tol: float):
+    total = force_closed_form(a, reg)
+    return total, 1e-14 * abs(total)  # asserted at the rounding level
+
+
+def _numeric_sum_route(a: float, reg: Regulator, tol: float):
+    total = force_sum_numeric(a, reg, tol=tol)
+    return total, tol * abs(total)  # the summation tolerance
+
+
+#: The force routes in command-line order.  No entry calls another's
+#: kernel: the routes exist to check one another.  A numeric_sum cell's
+#: work grows like a / lambda, so the smallest lambda / a forks first.
+_ROUTE_TABLE = (
+    _Route("closed_form", _closed_form_route, None),
+    _Route("numeric_sum", _numeric_sum_route,
+           lambda a, lam: lam / a if a else math.inf),
+    _Route("series", lambda a, reg, tol: series_value(a, reg), None),
+)
+
+#: Evaluation routes selectable from the command line.
+ROUTES = tuple(entry.name for entry in _ROUTE_TABLE)
+
+
 def decompose(a: float, reg: Regulator, route: str = "closed_form", *,
               tol: float = 1e-10) -> RegularizedForce:
     """Evaluate F(a, lambda) by the named route, with its error and split.
 
-    Routes: 'closed_form' (error at rounding level), 'numeric_sum' (error
-    from the summation tolerance ``tol``), 'series' (error from the first
-    omitted term plus the rounding of the terms summed; see series_value).
+    A route is one entry of _ROUTE_TABLE plus its kernel, and nothing here
+    names one: the entry's evaluate runs the kernel and states its error.
     Every route rejects a tol that is not positive and finite.  Raises
     PrecisionLossError, naming the route, a and lambda, when a field of the
     record would overflow or be non-finite, or when the error estimate is
@@ -520,17 +549,11 @@ def decompose(a: float, reg: Regulator, route: str = "closed_form", *,
     """
     check_positive_finite("tol", tol)
     where = f"{route} route at a = {a!r}, lambda = {reg.lam!r}"
+    entry = next((e for e in _ROUTE_TABLE if e.name == route), None)
+    if entry is None:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     try:
-        if route == "closed_form":
-            total = force_closed_form(a, reg)
-            estimate = 1e-14 * abs(total)
-        elif route == "numeric_sum":
-            total = force_sum_numeric(a, reg, tol=tol)
-            estimate = tol * abs(total)
-        elif route == "series":
-            total, estimate = series_value(a, reg)
-        else:
-            raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+        total, estimate = entry.evaluate(a, reg, tol)
         force = RegularizedForce(route, reg.lam, total, estimate,
                                  *asymptotic_parts(a))
         # the remainder is non-finite whenever total, divergent_part or

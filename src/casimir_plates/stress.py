@@ -6,7 +6,7 @@ Units are natural (hbar = c = eps0 = mu0 = 1).  Under this convention the
 zz component of the stress tensor, averaged over a plate, collapses to the
 closed form
 
-    sigma_zz = -(1/4) (hbar c / (L^2 a)) k_z^2 / k
+    sigma_zz = -(1/2) (hbar c / (L^2 a)) k_z^2 / k = (1/L^2) d(omega/2)/da
 
 independent of how the mode's amplitude is distributed between the two
 polarizations.  Two other evaluation routes are kept alongside the closed
@@ -67,7 +67,7 @@ def stress_tensor(E, B) -> np.ndarray:
 def sigma_zz_mode(mode: ModeIndex, geom: CavityGeometry) -> float:
     """Closed-form averaged normal stress of one mode, negative for all."""
     wv = wave_vector(mode, geom)
-    return -0.25 / (geom.L**2 * geom.a) * wv.k_z**2 / wv.k
+    return -0.5 / (geom.L**2 * geom.a) * wv.k_z**2 / wv.k
 
 
 def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, *,

@@ -13,10 +13,9 @@ from fractions import Fraction
 import pytest
 
 from casimir_plates import regsum, verify
-from casimir_plates.cli import main
+from casimir_plates.cli import HBAR_C_SI, main
 from casimir_plates.modes import CavityGeometry, ModeIndex
 from casimir_plates.stress import sigma_zz_direct, sigma_zz_mode
-from casimir_plates.units import HBAR_C_SI
 
 GEOMETRIES = (CavityGeometry(a=1.0, L=1.0), CavityGeometry(a=0.7, L=2.0))
 

@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import cli, regsum
-from casimir_plates.cli import main
-from casimir_plates.units import HBAR_C_SI
+from casimir_plates.cli import HBAR_C_SI, main
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +261,33 @@ def test_output_does_not_depend_on_cpu_count(argv, monkeypatch):
         assert outputs[0] == (2, "", FIRST_REJECTION[argv[-1]])
 
 
+def test_sweep_forks_the_cells_its_route_record_asks_for(monkeypatch):
+    # a route is one table entry plus its kernel: an entry with a fork key
+    # has its cells forked in the key's order, with no change to the CLI
+    from casimir_plates import numerics
+    entry = regsum._ROUTE_TABLE[regsum.ROUTES.index("closed_form")]
+    monkeypatch.setattr(regsum, "_ROUTE_TABLE", regsum._ROUTE_TABLE + (
+        entry._replace(name="forked", fork_key=lambda a, lam: -a * lam),))
+    forked = []
+
+    def serial_map(fn, items):
+        forked.append(list(items))
+        return [fn(x) for x in forked[-1]]
+
+    monkeypatch.setattr(numerics, "parallel_map", serial_map)
+    code, out, err = _run_quietly(["sweep", "--a", "0.5,1", "--lambda",
+                                   "0.1,0.2", "--routes",
+                                   "closed_form,forked"])
+    assert (code, err) == (0, "")
+    # the forked cells 1, 3, 5 and 7 have keys -0.05, -0.1, -0.1 and
+    # -0.2; the tie keeps emission order
+    assert forked == [[7, 3, 5, 1]]
+    rows = parse_csv(out)
+    assert [r["route"] for r in rows] == ["closed_form", "forked"] * 4
+    for closed, twin in zip(rows[::2], rows[1::2]):
+        assert {**closed, "route": "forked"} == twin
+
+
 #: One call of each command that writes a JSON document.
 JSON_ARGV = [
     ["verify", "--json"],
@@ -463,8 +489,8 @@ def _src_env(**extra):
 
 def test_cli_import_leaves_scipy_out():
     # numpy too: the package and the CLI import only what their top levels
-    # need, and array code imports numpy where it runs; no layer but units
-    # and errors either, since each command imports its own layers, and
+    # need, and array code imports numpy where it runs; no layer but errors
+    # either, since each command imports its own layers, and
     # no dataclasses or fractions, which no layer uses, and no json,
     # which only JSON output uses
     probe = ("import sys\n"
@@ -472,7 +498,7 @@ def test_cli_import_leaves_scipy_out():
              "            'json'}\n"
              "left_out |= {'casimir_plates.' + m for m in\n"
              "             ('modes', 'stress', 'regsum', 'verify',\n"
-             "              'numerics')}\n"
+             "              'numerics', 'units')}\n"
              "for name in ('casimir_plates', 'casimir_plates.cli'):\n"
              "    __import__(name)\n"
              "    print(name, sorted(left_out & set(sys.modules)))")

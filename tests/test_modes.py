@@ -313,10 +313,10 @@ class TestAmplitudes:
                     assert got.tobytes() == want.tobytes()
 
     def test_norm_squared_frozen_value(self):
-        # 2 hbar c k / (eps0 L^2 a) with k = sqrt(3) pi: equals 2 sqrt(3) pi
+        # 4 hbar c k / (eps0 L^2 a) with k = sqrt(3) pi: equals 4 sqrt(3) pi
         got = amplitude_norm_squared(ModeIndex(1, 1, 1),
                                      CavityGeometry(a=1.0, L=1.0))
-        assert got == pytest.approx(10.882796185405306, rel=1e-15)
+        assert got == pytest.approx(21.765592370810612, rel=1e-15)
 
     def test_norm_squared_scales_with_geometry(self):
         mode = ModeIndex(1, 1, 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import casimir_plates
-from casimir_plates import errors, modes, numerics, regsum, units, verify
+from casimir_plates import errors, modes, numerics, regsum, verify
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -57,7 +57,7 @@ def test_readme_library_snippets_run():
     assert first["fit"].finite_part == pytest.approx(math.pi**2 / 240,
                                                      rel=1e-4)
     sigma = first["sigma_zz_mode"](first["ModeIndex"](1, 1, 1), first["geom"])
-    assert sigma == pytest.approx(-0.4534, abs=1e-4)
+    assert sigma == pytest.approx(-0.9069, abs=1e-4)
 
 
 def _records():
@@ -65,7 +65,6 @@ def _records():
     mode = modes.ModeIndex(n_x=1, n_y=2, n_z=3)
     geom = modes.CavityGeometry(a=0.7, L=2.0)
     return [
-        units.UnitSystem(name="test", hbar_c=2.0),
         numerics.QuadratureResult(value=1.5, error_estimate=1e-12,
                                   evaluations=7),
         mode,

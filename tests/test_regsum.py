@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import numerics, regsum
+from casimir_plates.cli import HBAR_C_SI
 from casimir_plates.errors import (
     IllConditionedFitError,
     PrecisionLossError,
@@ -34,7 +35,6 @@ from casimir_plates.regsum import (
     series_terms,
     series_value,
 )
-from casimir_plates.units import HBAR_C_SI
 
 separations = st.floats(min_value=0.3, max_value=3.0)
 cutoff_ratios = st.floats(min_value=0.05, max_value=2.0)
@@ -442,6 +442,24 @@ class TestRoutesAndDecomposition:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
             decompose(1.0, Regulator(0.1), "exact")
+
+    #: The kernel behind each force route
+    KERNELS = {"closed_form": "force_closed_form",
+               "numeric_sum": "force_sum_numeric",
+               "series": "series_value"}
+
+    @pytest.mark.parametrize("route", regsum.ROUTES)
+    def test_routes_share_no_kernel(self, route, monkeypatch):
+        assert tuple(self.KERNELS) == regsum.ROUTES
+        want = decompose(1.0, Regulator(0.1), route)
+
+        def foreign_kernel(*args, **kwargs):
+            raise AssertionError(f"the {route} route ran another's kernel")
+
+        for other, kernel in self.KERNELS.items():
+            if other != route:
+                monkeypatch.setattr(regsum, kernel, foreign_kernel)
+        assert decompose(1.0, Regulator(0.1), route) == want
 
     def test_route_error_estimates_positive(self):
         for route in ("closed_form", "numeric_sum", "series"):

@@ -9,9 +9,12 @@ from casimir_plates.modes import (
     CavityGeometry,
     ModeAmplitudes,
     ModeIndex,
+    electric_square_on_grid,
+    magnetic_square_on_grid,
     mode_amplitudes,
     wave_vector,
 )
+from casimir_plates.numerics import mean_over_box
 from casimir_plates.stress import (
     sigma_zz_direct,
     sigma_zz_from_boundary_averages,
@@ -74,18 +77,43 @@ class TestStressTensor:
 
 class TestModeStressClosedForm:
     def test_frozen_fundamental_value(self):
-        # -(1/4) k_z^2 / k at unit geometry: -pi / (4 sqrt(3))
+        # -(1/2) k_z^2 / k at unit geometry: -pi / (2 sqrt(3))
         geom = CavityGeometry(a=1.0, L=1.0)
         got = sigma_zz_mode(ModeIndex(1, 1, 1), geom)
-        assert got == pytest.approx(-0.45344984105855446, rel=1e-15)
+        assert got == pytest.approx(-0.9068996821171089, rel=1e-15)
         assert wave_vector(ModeIndex(1, 1, 1), geom).kappa == pytest.approx(
             math.sqrt(2.0) * math.pi, rel=1e-15)
 
+    def test_mode_energy_and_pressure_fix_the_normalization(self):
+        # One polarization of one mode holds the zero-point energy omega/2:
+        # the box mean of (|E|^2 + |B|^2) / 2 times the volume is k / 2, and
+        # sigma_zz is minus the outward pressure -(1/L^2) d(omega/2)/da,
+        # here a central difference in a
+        a, big_l, h = 1.0, 1.3, 1e-6
+        geom = CavityGeometry(a=a, L=big_l)
+        for n in ((1, 1, 1), (2, 3, 1), (1, 2, 3)):
+            mode = ModeIndex(*n)
+            wv = wave_vector(mode, geom)
+            amp = mode_amplitudes(mode, geom, 0.6)
+            e2, b2 = (mean_over_box(
+                lambda *xyz, square=square: square(*xyz, wv, amp),
+                big_l, big_l, a, max(n)).value
+                for square in (electric_square_on_grid,
+                               magnetic_square_on_grid))
+            energy = (e2 + b2) / 2.0 * big_l**2 * a
+            assert energy / (wv.k / 2.0) == pytest.approx(1.0, abs=1e-14), n
+            k_up, k_down = (wave_vector(mode, CavityGeometry(a=a + d,
+                                                              L=big_l)).k
+                            for d in (h, -h))
+            pressure = -(k_up - k_down) / (2.0 * h) / 2.0 / big_l**2
+            assert sigma_zz_mode(mode, geom) / pressure == pytest.approx(
+                -1.0, abs=1e-8), n
+
     def test_small_kappa_limit(self):
-        # for kappa << k_z the stress approaches -k_z hbar c / (4 L^2 a)
+        # for kappa << k_z the stress approaches -k_z hbar c / (2 L^2 a)
         geom = CavityGeometry(a=1.0, L=1e6)
         got = sigma_zz_mode(ModeIndex(1, 1, 1), geom)
-        assert got * geom.L**2 == pytest.approx(-math.pi / 4.0,
+        assert got * geom.L**2 == pytest.approx(-math.pi / 2.0,
                                                          rel=1e-9)
 
     @given(mode=mode_indices, geom=geometries)

@@ -15,10 +15,10 @@ printed pressure into pascals, by the factor cli.HBAR_C_SI.
 
 The package loads each layer on first use: importing it runs no layer, and
 a public name below imports its layer when it is first looked up.  Every
-function that works on arrays imports numpy itself (verify, whose every run
-uses arrays, at its top), and every function that runs a kernel imports it
-from numerics, so the closed-form, series and mode-table paths load neither
-numpy nor numerics.  The exact tables of regsum are reduced integer
+function that works on arrays imports numpy itself, and every function
+that runs a kernel imports it from numerics, so the closed-form, series and
+mode-table paths load neither numpy nor numerics, and verify compiles every
+layer it checks before numpy loads.  The exact tables of regsum are reduced integer
 (numerator, denominator) pairs, computed and returned in plain ints.
 """
 

@@ -71,7 +71,7 @@ _DE_LEVELS = 8
 
 @functools.lru_cache(maxsize=16)
 def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(pi/2 sinh t) and pi/2 cosh t on the new nodes of a level, read-only.
+    """exp(pi/2 sinh t) and its t-derivative on the new nodes of a level, read-only.
 
     Level 0 holds t = k h0 on |t| <= _DE_T_MAX; level l >= 1 holds the odd
     multiples of h0 / 2**l there, the nodes that halving the step adds.
@@ -84,9 +84,9 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
         odd = 2 * half_width << (level - 1)
         t = _DE_H0 * 0.5**level * np.arange(1 - odd, odd, 2)
     exp_sinh = np.exp(0.5 * math.pi * np.sinh(t))
-    jacobian = 0.5 * math.pi * np.cosh(t)
-    exp_sinh.flags.writeable = jacobian.flags.writeable = False
-    return exp_sinh, jacobian
+    weight = exp_sinh * (0.5 * math.pi * np.cosh(t))
+    exp_sinh.flags.writeable = weight.flags.writeable = False
+    return exp_sinh, weight
 
 
 def integrate_semi_infinite(
@@ -95,6 +95,7 @@ def integrate_semi_infinite(
     *,
     scale: float | np.ndarray = 1.0,
     params: Sequence[np.ndarray] = (),
+    allowance: float | np.ndarray = 0.0,
 ) -> QuadratureResult:
     """Integrate a block of continuous, decaying functions over [0, infinity).
 
@@ -105,66 +106,80 @@ def integrate_semi_infinite(
     for any f with an exponential factor, as t -> +infinity, so the
     trapezoid rule in t converges geometrically in 1/h.  The step starts
     at 0.5 on |t| <= 4 and is halved, reusing every earlier node, until two
-    successive levels differ by at most ``tol`` times the integral of |f|
-    (the integral itself when f keeps one sign) or by the smallest normal
-    float, whichever is larger, so the relative test holds for integrals
-    above tiny / tol and integrals in the subnormal range still converge;
-    at most _DE_LEVELS (8) levels are computed.
+    successive levels of a row differ by at most the largest of ``tol``
+    times the integral of |f| (the integral itself when f keeps one sign),
+    the row's absolute ``allowance`` and the smallest normal float, so the
+    relative test holds for integrals above tiny / tol and integrals in the
+    subnormal range still converge; at most _DE_LEVELS (8) levels are
+    computed.
 
     The integrals come in a block of m rows.  ``scale`` is the column of
     row scales s, shape (m, 1), each near where its f carries its mass; a
     scalar is a block of one row.  Each entry of ``params`` is a column of
-    per-row parameters of the same shape.  ``integrand(x, *params)``
-    returns f elementwise on abscissae x of shape (p, k) for the p rows
-    still pending, each scaled by its own scale, together with those rows
-    of every parameter column, so f must depend on a row only through its
-    abscissae and parameters.  A row stops being evaluated at the level
-    where it converges.  Values and error estimates come back as arrays of
-    shape (m,), and ``evaluations`` counts integrand values over all rows,
-    so a block costs what its rows cost one at a time.
+    per-row parameters of the same shape, and ``allowance``, the absolute
+    error each row may keep, is a column of that shape or a scalar for
+    every row (default 0, a purely relative test).
+    ``integrand(x, *params)`` returns f elementwise on abscissae x of shape
+    (p, k) for the p rows still pending, each scaled by its own scale,
+    together with those rows of every parameter column, so f must depend
+    on a row only through its abscissae and parameters.  The integrand may
+    overwrite x, and may return it; the kernel applies the weight dx/dt in
+    place to the array returned, so one level holds at most the abscissae
+    and that array.  A row stops being evaluated at the level where it
+    converges.  Values and error estimates come back as arrays of shape
+    (m,), and ``evaluations`` counts integrand values over all rows, so a
+    block costs what its rows cost one at a time.
 
     The error estimate of a row is the difference between its last two
     levels, which bounds the error of the finer one while the rule
     converges, plus the truncated end terms at |t| = 4, a rounding
     allowance and the smallest normal float.  Raises QuadratureError,
     carrying the last values and estimates of every row, if a row does not
-    converge within _DE_LEVELS levels or its end terms exceed the
-    tolerance.
+    converge within _DE_LEVELS levels or its end terms exceed what its
+    convergence test allows.
     """
     import numpy as np
     check_positive_finite("tol", tol)
     column = np.asarray(scale, dtype=float).reshape(-1, 1)
+    floor = np.maximum(np.asarray(allowance, dtype=float), _DE_FLOOR)
+    floor = np.broadcast_to(floor, column.shape).ravel()
     rows = np.arange(column.shape[0])
 
     def transformed(level: int) -> np.ndarray:
         """g on the nodes of ``level`` for the pending rows, shape (p, k)."""
-        exp_sinh, jacobian = _de_nodes(level)
-        x = column[rows] * exp_sinh
-        f = integrand(x, *(p[rows] for p in params))
-        weighted = x * jacobian
-        return np.multiply(f, weighted, out=weighted)
+        exp_sinh, weight = _de_nodes(level)
+        s = column[rows]
+        g = integrand(s * exp_sinh, *(p[rows] for p in params))
+        g *= s
+        g *= weight
+        return g
+
+    def sums(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum g and sum |g| over each row; leaves |g| in g."""
+        total = g.sum(axis=-1)
+        return total, np.abs(g, out=g).sum(axis=-1)
 
     # per-row state, full size; each level updates the pending rows only
     h = _DE_H0
     g = transformed(0)
     evaluations = g.size
-    ends = np.abs(g[:, 0]) + np.abs(g[:, -1])
-    total = g.sum(axis=-1)
-    magnitude = np.abs(g).sum(axis=-1)
+    total, magnitude = sums(g)
+    ends = g[:, 0] + g[:, -1]
     value = h * total
     estimate = np.full(value.shape, math.inf)
     for level in range(1, _DE_LEVELS):
         h *= 0.5
         g = transformed(level)
         evaluations += g.size
-        total[rows] += g.sum(axis=-1)
-        magnitude[rows] += np.abs(g).sum(axis=-1)
+        level_total, level_magnitude = sums(g)
+        total[rows] += level_total
+        magnitude[rows] += level_magnitude
         finer = h * total[rows]
         change = np.abs(finer - value[rows])
         value[rows] = finer
         estimate[rows] = (change + h * ends[rows]
                           + _DE_ROUNDING * h * magnitude[rows] + _DE_FLOOR)
-        bound = np.maximum(tol * h * magnitude[rows], _DE_FLOOR)
+        bound = np.maximum(tol * h * magnitude[rows], floor[rows])
         done = change <= bound
         if np.any(done & (h * ends[rows] > bound)):
             raise QuadratureError(

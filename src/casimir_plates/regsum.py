@@ -244,29 +244,31 @@ def _tail_bound_factory(a: float, lam: float):
 _NUMERIC_N_MAX = 4000
 _PER_N_N_MAX = 200_000
 
-#: Smallest tol force_sum_numeric accepts.  The radial integrals run at
-#: tol / 10, and below 1e-16 that is less than half an ulp (1.1e-16): two
-#: quadrature levels of R_n then meet it only when they agree bit for bit,
-#: so the route fails, or converges by chance.
+#: Smallest tol force_sum_numeric accepts.  Each radial integral runs at a
+#: relative tol / 10, and below 1e-16 that is less than half an ulp
+#: (1.1e-16): two quadrature levels of R_n then meet it only when they
+#: agree bit for bit, so the route fails, or converges by chance.
 _MIN_NUMERIC_TOL = 1e-15
 
 
-def _radial_integrals(a: float, lam: float, ns: np.ndarray,
-                      tol: float) -> np.ndarray:
+def _radial_integrals(a: float, lam: float, ns: np.ndarray, tol: float,
+                      allowance: float | np.ndarray) -> np.ndarray:
     """R_n for each n in ``ns`` by quadrature, via kappa^2 = (n pi / a)^2 z.
 
-    That substitution turns R_n into (M/2) * K(lam M) with M = n pi / a and
-    K(beta) = integral_0^inf (z+1)^(-1/2) exp(-beta sqrt(z+1)) dz.  The
-    integrand of K decays like exp(-beta z / 2) near z = 0 when beta is
-    large and like exp(-beta sqrt(z)) far out when beta is small, so the
-    exp-sinh scale of each row is the sum of the two decay lengths.
+    Each R_n is exact to ``tol`` relative, or to its absolute
+    ``allowance`` (an array like ``ns``, or one value for every n),
+    whichever is larger.  The substitution turns R_n into (M/2) * K(lam M)
+    with M = n pi / a and K(beta) = integral_0^inf (z+1)^(-1/2)
+    exp(-beta sqrt(z+1)) dz.  The integrand of K decays like
+    exp(-beta z / 2) near z = 0 when beta is large and like
+    exp(-beta sqrt(z)) far out when beta is small, so the exp-sinh scale of
+    each row is the sum of the two decay lengths.
     """
     import numpy as np
     from .numerics import integrate_semi_infinite
 
     def integrand(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        root = z + 1.0
-        np.sqrt(root, out=root)
+        root = np.sqrt(np.add(z, 1.0, out=z), out=z)  # the kernel allows it
         f = np.multiply(-beta, root)
         np.exp(f, out=f)
         f /= root
@@ -275,27 +277,43 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray,
     big_m = ns[:, None] * math.pi / a
     beta = lam * big_m
     scale = 1.0 / beta**2 + 2.0 / beta
-    kernel = integrate_semi_infinite(integrand, tol, scale=scale,
-                                     params=(beta,))
+    # K carries R_n / (M/2), and so does its allowance
+    kernel = integrate_semi_infinite(
+        integrand, tol, scale=scale, params=(beta,),
+        allowance=np.reshape(allowance, (-1, 1)) / (0.5 * big_m))
     return 0.5 * big_m[:, 0] * kernel.value
+
+
+#: Shares of force_sum_numeric's error budget tol * |F|: the n-sum's tail,
+#: each radial integral relative to its own term, and all rows together
+#: in absolute terms.  With the rounding of the sum they stay below 1.
+_TAIL_SHARE = 0.5
+_ROW_SHARE = 0.1
+_ABSOLUTE_SHARE = 0.3
 
 
 def force_sum_numeric(a: float, reg: Regulator, *,
                       tol: float = 1e-10) -> float:
     """Regularized force per unit area by numerical n-sum and quadrature.
 
-    Each radial integral is evaluated by double-exponential quadrature at a
-    tolerance one decade below ``tol``, for the blocks of consecutive n
-    that the tail-bounded sum asks for; the n-sum stops once the exact
-    geometric tail bound falls below tol * |partial sum|.  No closed-form
-    knowledge of the radial integral or of the summed series enters this
-    route.
+    The result is within tol * |F| of the exact sum; three shares of that
+    budget are spent where the sum needs them.  The n-sum, over blocks of
+    consecutive n, stops once the exact geometric tail bound falls to
+    (tol/2) * |partial sum|.  Each radial integral R_n is evaluated by
+    double-exponential quadrature until its term is exact to
+    (tol/10) * |term_n| or to 0.3 tol |S_prev| / 4000, whichever is larger,
+    where S_prev is the sum of the blocks before its own: the terms share
+    one sign, so |S_prev| <= |F|, and at most 4000 (_NUMERIC_N_MAX) rows
+    take that absolute share.  The quadrature then errs by at most
+    0.4 tol |F| in all, and rows far out in the sum stop at a coarse level.
+    No closed-form knowledge of the radial integral or of the summed series
+    enters this route.
 
     Raises ValueError for a tol below 1e-15 (_MIN_NUMERIC_TOL), which the
     quadrature cannot meet.  Before any integral it raises
     PrecisionLossError when lambda pi / a is so small (below about
     7.5e-155) that a row's quadrature scale overflows, and TailBoundError
-    when 4000 terms (_NUMERIC_N_MAX) cannot meet the bound (lambda pi / a
+    when 4000 terms cannot bring the tail within its share (lambda pi / a
     below about 0.0075 at the default tol).  Raises QuadratureError if an
     integral fails and FloatingPointError if a term is not finite.
     """
@@ -309,30 +327,43 @@ def force_sum_numeric(a: float, reg: Regulator, *,
     lam = reg.lam
     pref = _prefactor(a)
     ratio = lam * math.pi / a
+    tail_tol = _TAIL_SHARE * tol
     with np.errstate(over="ignore", divide="ignore"):
         beta = np.float64(lam) * (math.pi / a)
         if not np.isfinite(1.0 / beta**2 + 2.0 / beta):  # inf abscissae
             raise PrecisionLossError(
                 f"lambda*pi/a = {ratio:.3e}: the exp-sinh scale 1/beta^2 "
                 "of the numeric_sum radial integrals overflows")
-    # a stop needs tail_bound(n) <= tol |F| <= tol tail_bound(0); their
-    # ratio, in which the prefactor and (1 - q)^3 cancel, stays finite
+    # a stop needs tail_bound(n) <= tail_tol |F| <= tail_tol tail_bound(0);
+    # their ratio, in which the prefactor and (1 - q)^3 cancel, stays finite.
+    # tail_bound(0) is |F| itself, so the test is exact up to the errors of
+    # the terms: any slack would let a cutoff that cannot stop integrate
+    # all 4000 rows before the sum fails
     q, x, n = math.exp(-ratio), -math.expm1(-ratio), _NUMERIC_N_MAX
     relative = math.exp(-n * ratio) * (1.0 + n * x * (2.0 + n * x) / (1.0 + q))
-    if relative > 2.0 * tol:  # twice, for rounding, as the sum's own check
+    if relative > tail_tol:
         raise TailBoundError(
             f"lambda*pi/a = {ratio:.3e} is below the {n}-term budget: tail "
-            f"bound {relative:.3e} |F| still above tol*|F| after {n} terms",
+            f"bound {relative:.3e} |F| still above tol/2*|F| after {n} terms",
             partial_sum=0.0, bound=relative * abs(pref) / lam * q * (1 + q) / x / x / x)
+    summed = 0.0  # S_prev of the next block
 
     def terms(ns: np.ndarray) -> np.ndarray:
+        nonlocal summed
+        # the allowance of R_n is its term's absolute share over |pref| n^2
+        # (zero while S_prev is, so no 0/0 when the prefactor underflows)
+        share = _ABSOLUTE_SHARE * tol * abs(summed) / _NUMERIC_N_MAX
         # Extreme a or lambda overflow the prefactor, M, beta or the scale.
         # The terms they touch come out non-finite, which the sum rejects,
         # or their integrals never converge, which the quadrature reports.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return pref * ns * ns * _radial_integrals(a, lam, ns, 0.1 * tol)
+            allowance = share / (abs(pref) * ns * ns) if share else 0.0
+            values = pref * ns * ns * _radial_integrals(
+                a, lam, ns, _ROW_SHARE * tol, allowance)
+            summed += float(values.sum())
+        return values
 
-    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam), tol,
+    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam), tail_tol,
                                 max_terms=_NUMERIC_N_MAX)
 
 
@@ -519,7 +550,8 @@ def _closed_form_route(a: float, reg: Regulator, tol: float):
 
 def _numeric_sum_route(a: float, reg: Regulator, tol: float):
     total = force_sum_numeric(a, reg, tol=tol)
-    return total, tol * abs(total)  # the summation tolerance
+    # the whole budget: tail, quadrature and rounding all stay within it
+    return total, tol * abs(total)
 
 
 #: The force routes in command-line order.  No entry calls another's

@@ -18,8 +18,6 @@ import itertools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import modes, regsum, stress
 from .numerics import jacobian_fd, mean_over_box, mean_over_rectangle
 
@@ -57,6 +55,7 @@ def _mode_grid(n_max: int):
 
 def check_boundary_zeros() -> CheckResult:
     """Tangential E and normal B vanish exactly on both plates."""
+    import numpy as np
     worst = 0.0
     for geom in _GEOMS:
         for mode in _mode_grid(3):
@@ -172,6 +171,7 @@ def check_boundary_mean_squares() -> CheckResult:
 
 def check_curl_consistency() -> CheckResult:
     """magnetic_mode_at agrees with a finite-difference curl of the E field."""
+    import numpy as np
     worst = 0.0
     for geom, mode in ((modes.CavityGeometry(a=0.9, L=1.3), modes.ModeIndex(1, 2, 2)),
                        (_GEOMS[0], modes.ModeIndex(3, 1, 2))):
@@ -317,12 +317,19 @@ def check_divergent_coefficient_stability() -> CheckResult:
 
 def check_finite_part_scaling() -> CheckResult:
     """The fitted finite part falls off as the fourth power of separation."""
-    seps = np.array([0.5, 0.75, 1.0, 1.5, 2.0])
+    seps = (0.5, 0.75, 1.0, 1.5, 2.0)
     fitted = []
     for a in seps:
         grid = regsum.default_lambda_grid(a)
         fitted.append(regsum.extract_finite_part(a, grid).finite_part)
-    slope = np.polyfit(np.log(seps), np.log(np.abs(fitted)), 1)[0]
+    # the least-squares slope in plain floats, as statistics.linear_regression
+    # takes it: numpy's lstsq pages in LAPACK, and statistics loads fractions
+    # and decimal, which verify does without
+    xs = [math.log(a) for a in seps]
+    ys = [math.log(abs(f)) for f in fitted]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    slope = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+             / math.fsum((x - x_mean) * (x - x_mean) for x in xs))
     return _result("finite_part_scaling", abs(slope + 4.0), 1e-3,
                    f"log-log slope {slope:.6f} from fits")
 

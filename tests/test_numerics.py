@@ -88,7 +88,7 @@ class TestIntegrateSemiInfinite:
                 integrate_semi_infinite(lambda x: np.exp(-x), tol)
 
     @staticmethod
-    def _sqrt_kernel_block(betas, tol):
+    def _sqrt_kernel_block(betas, tol, allowance=0.0):
         beta = np.asarray(betas, dtype=float)[:, None]
 
         def integrand(z, beta):
@@ -97,7 +97,7 @@ class TestIntegrateSemiInfinite:
 
         return integrate_semi_infinite(integrand, tol,
                                        scale=1.0 / beta**2 + 2.0 / beta,
-                                       params=(beta,))
+                                       params=(beta,), allowance=allowance)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-11, 1e-13])
     def test_block_error_estimate_bounds_error(self, tol):
@@ -140,6 +140,33 @@ class TestIntegrateSemiInfinite:
             evaluations += single.evaluations
         # a row is no longer evaluated once it has converged
         assert block.evaluations == evaluations
+
+    def test_integrand_may_overwrite_its_abscissae(self):
+        def in_place(x, c):
+            x *= -c
+            return np.exp(x, out=x)
+
+        c = np.array([[0.5], [3.0]])
+        want = integrate_semi_infinite(lambda x, c: np.exp(-c * x), 1e-12,
+                                       scale=1.0 / c, params=(c,))
+        got = integrate_semi_infinite(in_place, 1e-12, scale=1.0 / c,
+                                      params=(c,))
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.evaluations == want.evaluations
+
+    def test_allowance_stops_a_row_at_its_level(self):
+        # K(0.3) = 4.94 changes by far less than 0.05 from level 0 to
+        # level 1 (17 and 16 nodes); at allowance 0 it takes all 8 levels
+        betas = [0.3, 2.0]
+        allowance = np.array([[0.05], [0.0]])
+        block = self._sqrt_kernel_block(betas, 1e-11, allowance)
+        covered = self._sqrt_kernel_block(betas[:1], 1e-11, 0.05)
+        plain = self._sqrt_kernel_block(betas[1:], 1e-11)
+        assert covered.evaluations == 17 + 16
+        assert self._sqrt_kernel_block(betas[:1], 1e-11).evaluations == 257
+        assert block.evaluations == covered.evaluations + plain.evaluations
+        assert block.value.tolist() == [*covered.value, *plain.value]
+        assert abs(covered.value[0] - 2.0 * math.exp(-0.3) / 0.3) <= 0.05
 
     def test_block_failure_carries_rows(self, monkeypatch):
         monkeypatch.setattr(numerics, "_DE_LEVELS", 2)

@@ -43,6 +43,16 @@ _PI_50 = Decimal("3.141592653589793238462643383279502884197169399375105820974944
 cutoff_ratios = st.floats(min_value=0.05, max_value=2.0)
 
 
+def _closed_form_50_digits(a, lam):
+    """F(a, lambda) in closed form, to 50 digits, at the exact doubles."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact_a, exact_lam = Decimal(a), Decimal(lam)
+        q = (-exact_lam * _PI_50 / exact_a).exp()
+        return (-(_PI_50 / exact_a) ** 2 / (2 * _PI_50 * exact_a)
+                / exact_lam * q * (1 + q) / (1 - q) ** 3)
+
+
 class TestBernoulli:
     def test_first_values_exact(self):
         table = bernoulli_numbers(8)
@@ -158,9 +168,9 @@ class TestNumericSum:
         radial = regsum._radial_integrals
         block_sum = numerics.sum_until_tail_bound
 
-        def counting_radial(a, lam, ns, tol):
+        def counting_radial(a, lam, ns, tol, allowance):
             integrated.append(np.size(ns))
-            return radial(a, lam, ns, tol)
+            return radial(a, lam, ns, tol, allowance)
 
         def counting_sum(terms, tail_bound, tol, **kwargs):
             computed = []
@@ -237,15 +247,64 @@ class TestNumericSum:
         numeric = force_sum_numeric(1.0, reg, tol=1e-10)
         assert numeric == pytest.approx(force_closed_form(1.0, reg), rel=1e-9)
 
+    def test_edge_of_the_budget_converges_or_fails_before_any_integral(
+            self, monkeypatch):
+        # the budget check applies the sum's own tail share without slack:
+        # a cutoff that passes it stops within 4000 terms, and one that
+        # fails it runs no integral
+        calls = []
+        kernel = numerics.integrate_semi_infinite
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate_semi_infinite",
+                            counting_kernel)
+        outcomes = set()
+        for ratio in (0.0070 + 0.00002 * k for k in range(31)):
+            reg = Regulator(ratio / math.pi)
+            del calls[:]
+            try:
+                numeric = force_sum_numeric(1.0, reg, tol=1e-10)
+            except TailBoundError:
+                assert calls == [], ratio
+                outcomes.add("budget")
+            else:
+                closed = force_closed_form(1.0, reg)
+                assert abs(numeric - closed) <= 1e-10 * abs(numeric), ratio
+                outcomes.add("converged")
+        assert outcomes == {"budget", "converged"}
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+    def test_estimate_bounds_deviation_from_50_digit_reference(self, tol):
+        # tol * |F| is the whole budget: the tail, the radial integrals and
+        # the rounding of the sum share it
+        ratios = [0.008 * 250.0 ** (k / 24) for k in range(25)]
+        misses, converged = [], 0
+        for a, ratio in itertools.product([0.5, 1.0, 2.0], ratios):
+            lam = ratio * a / math.pi
+            try:
+                force = decompose(a, Regulator(lam), "numeric_sum", tol=tol)
+            except TailBoundError:
+                continue
+            converged += 1
+            deviation = abs(Decimal(force.total) - _closed_form_50_digits(a, lam))
+            if deviation > Decimal(force.error_estimate):
+                misses.append((a, ratio, float(deviation) / force.error_estimate))
+        # only lambda pi / a = 0.008 is below the budget, at tol <= 1e-12
+        assert converged == (75 if tol > 1e-11 else 72)
+        assert misses == []
+
     def test_unreachable_tolerance_fails_after_first_block(self, monkeypatch):
         # the bound after 4000 terms already exceeds tol * |sum| once the
         # first 64 terms are in, so none of the others is integrated
         integrated = []
         radial = regsum._radial_integrals
 
-        def counting_radial(a, lam, ns, tol):
+        def counting_radial(a, lam, ns, tol, allowance):
             integrated.append(np.size(ns))
-            return radial(a, lam, ns, tol)
+            return radial(a, lam, ns, tol, allowance)
 
         monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
         with pytest.raises(TailBoundError, match="after 4000 terms"):
@@ -336,17 +395,12 @@ class TestSeries:
         ratios = [0.008 * 250.0 ** (k / 24) for k in range(25)]
         ratios += [10.0 ** rng.uniform(-2.0, 0.0) for _ in range(20)]
         misses = []
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            for a, ratio in itertools.product(a_values, ratios):
-                lam = ratio * a / math.pi
-                total, estimate = series_value(a, Regulator(lam))
-                exact_a, exact_lam = Decimal(a), Decimal(lam)
-                q = (-exact_lam * _PI_50 / exact_a).exp()
-                want = (-(_PI_50 / exact_a) ** 2 / (2 * _PI_50 * exact_a)
-                        / exact_lam * q * (1 + q) / (1 - q) ** 3)
-                if abs(Decimal(total) - want) > Decimal(estimate):
-                    misses.append((a, ratio))
+        for a, ratio in itertools.product(a_values, ratios):
+            lam = ratio * a / math.pi
+            total, estimate = series_value(a, Regulator(lam))
+            want = _closed_form_50_digits(a, lam)
+            if abs(Decimal(total) - want) > Decimal(estimate):
+                misses.append((a, ratio))
         assert len(a_values) * len(ratios) == 1935
         assert misses == []
 

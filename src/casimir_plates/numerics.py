@@ -217,7 +217,8 @@ def sum_until_tail_bound(
     m > n) for each; a valid bound, and terms that all share one sign, are
     the caller's contract.  Terms are added in increasing n, left to right
     into one running float, until tail_bound(n) <= tol * abs(partial sum),
-    so the returned value differs from the full sum by at most that amount.
+    so the returned value differs from the full sum by at most that amount
+    plus the rounding of the running sum.
 
     The terms are asked for in blocks: n = 1..64, then at most 512 at a
     time, each block ending at the first n whose bound already meets tol
@@ -227,8 +228,8 @@ def sum_until_tail_bound(
 
     Raises FloatingPointError (an ArithmeticError) at the first block that
     holds a non-finite term, and TailBoundError (carrying the partial sum
-    and the bound after ``max_terms`` terms) once a block shows that
-    ``max_terms`` terms cannot satisfy the criterion, without summing them.
+    and the bound) after ``max_terms`` terms, a hard cap: callers check up
+    front that ``max_terms`` terms can meet tol.
     """
     import numpy as np
     check_positive_finite("tol", tol)
@@ -247,16 +248,11 @@ def sum_until_tail_bound(
         if met.size:
             return float(partial[met[0]])
         total = float(partial[-1])
-        # |full sum| <= |total| + bounds[-1], so a stop needs tail_bound(n)
-        # <= tol * (|total| + bounds[-1]) for some n <= max_terms; twice
-        # that at max_terms allows for rounding and errors in the terms
-        budget = float(tail_bound(np.array([max_terms]))[0])
-        if (ns[-1] >= max_terms
-                or budget > 2.0 * tol * (abs(total) + float(bounds[-1]))):
+        if ns[-1] >= max_terms:
             raise TailBoundError(
-                f"tail bound {budget:.3e} still above tol*|sum| after "
+                f"tail bound {bounds[-1]:.3e} still above tol*|sum| after "
                 f"{max_terms} terms",
-                partial_sum=total, bound=budget)
+                partial_sum=total, bound=float(bounds[-1]))
         ns = np.arange(ns[-1] + 1, min(ns[-1] + _MAX_BLOCK, max_terms) + 1)
         bounds = tail_bound(ns)
         met = np.flatnonzero(bounds <= tol * abs(total))

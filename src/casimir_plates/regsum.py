@@ -206,41 +206,51 @@ def per_n_term(a: float, reg: Regulator, n: int) -> float:
     return (_prefactor(a) * n * n / lam) * math.exp(-lam * n * math.pi / a)
 
 
-def _geometric_tail(n: np.ndarray, q: float,
-                    one_minus_q: float) -> np.ndarray:
-    """Exact value of sum_{m>n} m^2 q^m for 0 < q < 1, for each n."""
-    # the scalar part first, so that a (1 - q)^3 that underflows to zero
-    # raises ZeroDivisionError before any array arithmetic
-    constant = q * (1.0 + q) / one_minus_q**3
-    return q**n * (n * n * q / one_minus_q
-                   + 2.0 * n * q / one_minus_q**2
-                   + constant)
+def _tail_fraction(n: int | np.ndarray, ratio: float) -> np.ndarray:
+    """S(n) / S(0) for S(n) = sum_{m>n} m^2 q^m and q = exp(-ratio), per n.
 
-
-def _tail_bound_factory(a: float, lam: float):
-    """Bound on the absolute tail of either n-sum route past each term n.
-
-    Both routes have |term(m)| = |pref| m^2 (1/lambda) q^m with
-    q = exp(-lambda pi / a) (for the numeric route, because R_m <=
-    (1/lambda) e^(-lambda m pi/a) bounds the integral), so the geometric
-    tail sum is an honest bound.  Like float arithmetic, the bound turns
-    overflow into inf and inf * 0 into nan without a warning; a bound
-    that never meets the tolerance ends in TailBoundError.
+    With x = 1 - q, S(n) = q^(n+1) (n^2 x^2 + 2 n x + 1 + q) / x^3, so the
+    fraction is q^n (1 + n x (2 + n x) / (1 + q)).  The x^3 cancels in it,
+    and it stays finite where (1 - q)^3 underflows.
     """
     import numpy as np
-    q = math.exp(-lam * math.pi / a)
-    one_minus_q = -math.expm1(-lam * math.pi / a)
-    scale = abs(_prefactor(a)) / lam
+    q, x = math.exp(-ratio), -math.expm1(-ratio)
+    return np.exp(-n * ratio) * (1.0 + n * x * (2.0 + n * x) / (1.0 + q))
+
+
+def _n_sum(terms: Callable[[np.ndarray], np.ndarray], a: float, lam: float,
+           tol: float, n_max: int) -> float:
+    """Sum an n-sum route's terms(ns) until its tail is below tol*|sum|.
+
+    Both routes have |term(m)| <= |pref| m^2 (1/lambda) q^m, q = exp(-lambda
+    pi / a) (for numeric_sum, R_m <= (1/lambda) e^(-lambda m pi/a)), so the
+    tail past n is at most |F| _tail_fraction(n), |F| being the tail past 0.
+    A stop needs that at most tol |F|, so TailBoundError (partial sum 0.0)
+    comes before any term when _tail_fraction(n_max) > tol.  Like float
+    arithmetic, the bound turns overflow into inf and inf * 0 into nan.
+    """
+    import numpy as np
+    from .numerics import sum_until_tail_bound
+    ratio = lam * math.pi / a
+    q, x = math.exp(-ratio), -math.expm1(-ratio)
+    # |F|; x**3 would underflow to 0 for x below about 1.7e-108
+    magnitude = abs(_prefactor(a)) / lam * q * (1.0 + q) / x / x / x
+    relative = float(_tail_fraction(n_max, ratio))
+    if relative > tol:
+        raise TailBoundError(
+            f"lambda*pi/a = {ratio:.3e} is below the {n_max}-term budget: "
+            f"tail bound {relative:.3e} |F| still above {tol:.3g} |F| after "
+            f"{n_max} terms", partial_sum=0.0, bound=relative * magnitude)
 
     def bound(ns: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return scale * _geometric_tail(ns, q, one_minus_q)
+            return magnitude * _tail_fraction(ns, ratio)
 
-    return bound
+    return sum_until_tail_bound(terms, bound, tol, max_terms=n_max)
 
 
 #: Term budgets of the two n-sum routes.  At their default tol they reach
-#: down to lambda pi / a of about 0.0075 (numeric) and 2e-4 (per-n).
+#: down to lambda pi / a of about 0.0075 (numeric) and 1.7e-4 (per-n).
 _NUMERIC_N_MAX = 4000
 _PER_N_N_MAX = 200_000
 
@@ -318,7 +328,6 @@ def force_sum_numeric(a: float, reg: Regulator, *,
     integral fails and FloatingPointError if a term is not finite.
     """
     import numpy as np
-    from .numerics import sum_until_tail_bound
     check_positive_finite("a", a)
     check_positive_finite("tol", tol)
     if tol < _MIN_NUMERIC_TOL:
@@ -327,25 +336,12 @@ def force_sum_numeric(a: float, reg: Regulator, *,
     lam = reg.lam
     pref = _prefactor(a)
     ratio = lam * math.pi / a
-    tail_tol = _TAIL_SHARE * tol
     with np.errstate(over="ignore", divide="ignore"):
         beta = np.float64(lam) * (math.pi / a)
         if not np.isfinite(1.0 / beta**2 + 2.0 / beta):  # inf abscissae
             raise PrecisionLossError(
                 f"lambda*pi/a = {ratio:.3e}: the exp-sinh scale 1/beta^2 "
                 "of the numeric_sum radial integrals overflows")
-    # a stop needs tail_bound(n) <= tail_tol |F| <= tail_tol tail_bound(0);
-    # their ratio, in which the prefactor and (1 - q)^3 cancel, stays finite.
-    # tail_bound(0) is |F| itself, so the test is exact up to the errors of
-    # the terms: any slack would let a cutoff that cannot stop integrate
-    # all 4000 rows before the sum fails
-    q, x, n = math.exp(-ratio), -math.expm1(-ratio), _NUMERIC_N_MAX
-    relative = math.exp(-n * ratio) * (1.0 + n * x * (2.0 + n * x) / (1.0 + q))
-    if relative > tail_tol:
-        raise TailBoundError(
-            f"lambda*pi/a = {ratio:.3e} is below the {n}-term budget: tail "
-            f"bound {relative:.3e} |F| still above tol/2*|F| after {n} terms",
-            partial_sum=0.0, bound=relative * abs(pref) / lam * q * (1 + q) / x / x / x)
     summed = 0.0  # S_prev of the next block
 
     def terms(ns: np.ndarray) -> np.ndarray:
@@ -363,23 +359,25 @@ def force_sum_numeric(a: float, reg: Regulator, *,
             summed += float(values.sum())
         return values
 
-    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam), tail_tol,
-                                max_terms=_NUMERIC_N_MAX)
+    return _n_sum(terms, a, lam, _TAIL_SHARE * tol, _NUMERIC_N_MAX)
 
 
 def force_per_n_sum(a: float, reg: Regulator, *,
                     tol: float = 1e-12) -> float:
-    """Regularized force per unit area by summing the exact per-n terms."""
+    """Regularized force per unit area by summing the exact per-n terms.
+
+    Raises ValueError for a tol that is not positive and finite, and
+    TailBoundError, before any term, when 200,000 terms cannot meet tol
+    (lambda pi / a below about 1.7e-4 at the default tol).
+    """
     import numpy as np
-    from .numerics import sum_until_tail_bound
     check_positive_finite("a", a)
-    lam = reg.lam
+    check_positive_finite("tol", tol)
 
     def terms(ns: np.ndarray) -> np.ndarray:
         return np.array([per_n_term(a, reg, n) for n in ns.tolist()])
 
-    return sum_until_tail_bound(terms, _tail_bound_factory(a, lam), tol,
-                                max_terms=_PER_N_N_MAX)
+    return _n_sum(terms, a, reg.lam, tol, _PER_N_N_MAX)
 
 
 def force_closed_form(a: float, reg: Regulator) -> float:

@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -109,6 +110,69 @@ class TestPerNTerm:
         summed = force_per_n_sum(a, reg, tol=1e-13)
         closed = force_closed_form(a, reg)
         assert summed == pytest.approx(closed, rel=1e-11)
+
+    @pytest.mark.parametrize("ratio", [1e-150, 1e-4, 1.664e-4, 1.684e-4,
+                                       1.70e-4])
+    def test_sum_below_its_budget_fails_before_any_term(self, ratio,
+                                                        monkeypatch):
+        # at the default tol the 200,000-term budget reaches down to
+        # lambda pi / a of about 1.71e-4
+        calls = []
+        term = regsum.per_n_term
+
+        def counting_term(*args):
+            calls.append(args)
+            return term(*args)
+
+        monkeypatch.setattr(regsum, "per_n_term", counting_term)
+        with pytest.raises(TailBoundError,
+                           match=f"lambda\\*pi/a = {ratio:.3e} is below the "
+                                 "200000-term budget") as info:
+            force_per_n_sum(1.0, Regulator(ratio / math.pi))
+        assert calls == []
+        assert info.value.partial_sum == 0.0
+        assert info.value.bound > 0.0
+
+    def test_sum_converges_just_above_its_budget(self):
+        # the tail may take all of tol * |F|; the rounding of the ~195,000
+        # additions comes on top (measured 4.9e-14 |F|)
+        reg = Regulator(1.75e-4 / math.pi)
+        summed = force_per_n_sum(1.0, reg)
+        closed = force_closed_form(1.0, reg)
+        assert abs(summed - closed) <= (1e-12 + 1e-13) * abs(closed)
+
+
+class TestTailFraction:
+    """regsum._tail_fraction, the tail bound of both n-sum routes over |F|."""
+
+    @staticmethod
+    def _fraction_50_digits(n, ratio):
+        """S(n) / S(0) from S(n) = q^(n+1) ((n+1)^2 - (2n^2+2n-1) q + n^2 q^2)
+        / (1-q)^3, to 50 digits, at the exact double ratio."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            q = (-Decimal(ratio)).exp()
+            return (q**n * ((n + 1) ** 2 - (2 * n * n + 2 * n - 1) * q
+                            + n * n * q * q) / (1 + q))
+
+    def test_matches_50_digit_reference(self):
+        # exp(-n ratio) errs by about n ratio eps/2 relative from the rounding
+        # of its argument; the worst on this grid is 0.80 eps (1 + n ratio)
+        ns = [0, 1, 64, 576, 4000]
+        eps, tiny = sys.float_info.epsilon, sys.float_info.min
+        for ratio in (1e-4 * 5e4 ** (k / 40) for k in range(41)):
+            fractions = regsum._tail_fraction(np.array(ns), ratio)
+            for n, got in zip(ns, fractions.tolist()):
+                exact = self._fraction_50_digits(n, ratio)
+                bound = Decimal(2 * eps * (1 + n * ratio)) * exact + Decimal(tiny)
+                assert abs(Decimal(got) - exact) <= bound, (n, ratio)
+
+    @pytest.mark.parametrize("ratio", [1e-150, 1e-30])
+    def test_finite_where_the_cube_underflows(self, ratio):
+        ns = np.array([0, 1, 4000, 200_000])
+        fractions = regsum._tail_fraction(ns, ratio)
+        assert np.isfinite(fractions).all()
+        assert fractions.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 class TestClosedForm:
@@ -226,7 +290,8 @@ class TestNumericSum:
                                        0.006])
     def test_budget_shortfall_fails_before_any_integral(self, ratio,
                                                         monkeypatch):
-        # |F| <= tail_bound(0), so no stop within 4000 terms is possible
+        # |F| is the tail bound past n = 0, so no stop within 4000 terms is
+        # possible, and none of the radial integrals runs
         calls = []
         kernel = numerics.integrate_semi_infinite
 
@@ -238,7 +303,7 @@ class TestNumericSum:
                             counting_kernel)
         with pytest.raises(TailBoundError,
                            match=f"lambda\\*pi/a = {ratio:.3e} is below the "
-                                 "4000-term budget"):
+                                 "4000-term budget: .* after 4000 terms"):
             force_sum_numeric(1.0, Regulator(ratio / math.pi))
         assert calls == []
 
@@ -295,22 +360,6 @@ class TestNumericSum:
         # only lambda pi / a = 0.008 is below the budget, at tol <= 1e-12
         assert converged == (75 if tol > 1e-11 else 72)
         assert misses == []
-
-    def test_unreachable_tolerance_fails_after_first_block(self, monkeypatch):
-        # the bound after 4000 terms already exceeds tol * |sum| once the
-        # first 64 terms are in, so none of the others is integrated
-        integrated = []
-        radial = regsum._radial_integrals
-
-        def counting_radial(a, lam, ns, tol, allowance):
-            integrated.append(np.size(ns))
-            return radial(a, lam, ns, tol, allowance)
-
-        monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
-        with pytest.raises(TailBoundError, match="after 4000 terms"):
-            force_sum_numeric(1.0, Regulator(0.006 / math.pi))
-        assert sum(integrated) <= 64
-
 
     def test_overflowing_row_scale_fails_before_any_integral(self, monkeypatch):
         # at lambda pi / a = 3.1e-200 the exp-sinh scale 1/beta^2 of the

@@ -7,9 +7,10 @@ exception it raises.  The only state kept is the read-only exp-sinh nodes,
 cached per level.
 
 The exp-sinh kernel has one calling convention: it integrates a block of
-rows, one integral per row scale, at most 8 levels deep, and returns arrays
-of shape (m,); a scalar scale is a block of one row.  The midpoint-grid
-means average one function of a declared order and return floats.
+rows, one integral per row scale, at most 8 levels deep, in slabs of at most
+8192 integrand values, and returns arrays of shape (m,); a scalar scale is a
+block of one row.  The midpoint-grid means average one function of a
+declared order and return floats.
 
 The error types the kernels raise, and check_positive_finite, live in
 errors, the one module to import them from.  The other layers import each
@@ -67,6 +68,13 @@ _DE_ROUNDING = 4.0 * sys.float_info.epsilon
 _DE_FLOOR = sys.float_info.min
 #: Number of exp-sinh levels, from step _DE_H0 down to _DE_H0 / 2**7.
 _DE_LEVELS = 8
+#: Most integrand values the exp-sinh kernel asks for in one call: a level's
+#: pending rows go in slabs of at most _SLAB // k rows of its k new nodes
+#: (one row per slab if k exceeds it).  8192 doubles are 64 KiB, so the
+#: abscissae and the returned array stay in a core's L2 cache whatever the
+#: block size, while one call still covers 8 rows of the deepest level
+#: (1024 nodes), enough to keep numpy's per-call overhead a small share.
+_SLAB = 8192
 
 
 @functools.lru_cache(maxsize=16)
@@ -122,13 +130,17 @@ def integrate_semi_infinite(
     ``integrand(x, *params)`` returns f elementwise on abscissae x of shape
     (p, k) for the p rows still pending, each scaled by its own scale,
     together with those rows of every parameter column, so f must depend
-    on a row only through its abscissae and parameters.  The integrand may
-    overwrite x, and may return it; the kernel applies the weight dx/dt in
-    place to the array returned, so one level holds at most the abscissae
-    and that array.  A row stops being evaluated at the level where it
-    converges.  Values and error estimates come back as arrays of shape
-    (m,), and ``evaluations`` counts integrand values over all rows, so a
-    block costs what its rows cost one at a time.
+    on a row only through its abscissae and parameters.  Each level asks
+    for its pending rows in slabs of at most _SLAB (8192) values, so p is
+    at most max(1, 8192 // k) and no work array grows with the block.  The
+    integrand may overwrite x, and may return it; the kernel applies the
+    weight dx/dt in place to the array returned, so a call holds at most
+    the abscissae and that array.  A row stops being evaluated at the level
+    where it converges.  Values and error estimates come back as arrays of
+    shape (m,), and ``evaluations`` counts integrand values over all rows,
+    so a block costs what its rows cost one at a time: each row is summed
+    on its own, and its value, estimate and evaluations do not depend on
+    the rows beside it or on the slabs.
 
     The error estimate of a row is the difference between its last two
     levels, which bounds the error of the finer one while the rule
@@ -144,34 +156,37 @@ def integrate_semi_infinite(
     floor = np.maximum(np.asarray(allowance, dtype=float), _DE_FLOOR)
     floor = np.broadcast_to(floor, column.shape).ravel()
     rows = np.arange(column.shape[0])
+    evaluations = 0
 
-    def transformed(level: int) -> np.ndarray:
-        """g on the nodes of ``level`` for the pending rows, shape (p, k)."""
+    def level_sums(level: int) -> np.ndarray:
+        """sum g, sum |g| and g at the two outermost nodes, over the nodes
+        of ``level``, one column per pending row, shape (3, p); g is built
+        one slab of rows at a time."""
+        nonlocal evaluations
         exp_sinh, weight = _de_nodes(level)
-        s = column[rows]
-        g = integrand(s * exp_sinh, *(p[rows] for p in params))
-        g *= s
-        g *= weight
-        return g
-
-    def sums(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum g and sum |g| over each row; leaves |g| in g."""
-        total = g.sum(axis=-1)
-        return total, np.abs(g, out=g).sum(axis=-1)
+        out = np.empty((3, rows.size))
+        step = max(1, _SLAB // exp_sinh.size)
+        for start in range(0, rows.size, step):
+            slab = rows[start:start + step]
+            s = column[slab]
+            g = integrand(s * exp_sinh, *(p[slab] for p in params))
+            g *= s
+            g *= weight
+            evaluations += g.size
+            part = out[:, start:start + step]
+            part[0] = g.sum(axis=-1)
+            part[2] = g[:, 0] + g[:, -1]
+            part[1] = np.abs(g, out=g).sum(axis=-1)
+        return out
 
     # per-row state, full size; each level updates the pending rows only
     h = _DE_H0
-    g = transformed(0)
-    evaluations = g.size
-    total, magnitude = sums(g)
-    ends = g[:, 0] + g[:, -1]
+    total, magnitude, ends = level_sums(0)
     value = h * total
     estimate = np.full(value.shape, math.inf)
     for level in range(1, _DE_LEVELS):
         h *= 0.5
-        g = transformed(level)
-        evaluations += g.size
-        level_total, level_magnitude = sums(g)
+        level_total, level_magnitude, _ = level_sums(level)
         total[rows] += level_total
         magnitude[rows] += level_magnitude
         finer = h * total[rows]
@@ -197,8 +212,9 @@ def integrate_semi_infinite(
 
 
 #: sum_until_tail_bound asks for n = 1.._FIRST_BLOCK first, then for blocks
-#: of at most _MAX_BLOCK terms, which bounds the work arrays a terms
-#: callable builds per block (the quadrature's hold rows times nodes).
+#: of at most _MAX_BLOCK terms, which bounds the per-term arrays a terms
+#: callable builds per block.  The exp-sinh kernel bounds its own work
+#: arrays by _SLAB, whatever the block.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 512
 

@@ -249,16 +249,18 @@ def _n_sum(terms: Callable[[np.ndarray], np.ndarray], a: float, lam: float,
     return sum_until_tail_bound(terms, bound, tol, max_terms=n_max)
 
 
-#: Term budgets of the two n-sum routes.  At their default tol they reach
-#: down to lambda pi / a of about 0.0075 (numeric) and 1.7e-4 (per-n).
+#: Term budgets of the two n-sum routes.  With the tail at tol/2 of their
+#: default tol they reach down to lambda pi / a of about 0.0075 (numeric)
+#: and 1.74e-4 (per-n).
 _NUMERIC_N_MAX = 4000
 _PER_N_N_MAX = 200_000
 
 #: Smallest tol force_sum_numeric accepts.  Each radial integral runs at a
-#: relative tol / 10, and below 1e-16 that is less than half an ulp
-#: (1.1e-16): two quadrature levels of R_n then meet it only when they
-#: agree bit for bit, so the route fails, or converges by chance.
-_MIN_NUMERIC_TOL = 1e-15
+#: relative tol / 10, and the kernel allows 4 eps relative for its own
+#: rounding, so tol / 10 must clear 4 eps: tol >= 40 eps = 8.9e-15.  Below
+#: that the rounding of R_n is not budgeted (at tol = 5e-15 the route errs
+#: by up to 1.5 tol |F|), and at 1e-15 most cutoffs fail to converge.
+_MIN_NUMERIC_TOL = 1e-14
 
 
 def _radial_integrals(a: float, lam: float, ns: np.ndarray, tol: float,
@@ -297,6 +299,7 @@ def _radial_integrals(a: float, lam: float, ns: np.ndarray, tol: float,
 #: Shares of force_sum_numeric's error budget tol * |F|: the n-sum's tail,
 #: each radial integral relative to its own term, and all rows together
 #: in absolute terms.  With the rounding of the sum they stay below 1.
+#: force_per_n_sum gives its tail the same share, and the rest to rounding.
 _TAIL_SHARE = 0.5
 _ROW_SHARE = 0.1
 _ABSOLUTE_SHARE = 0.3
@@ -319,8 +322,8 @@ def force_sum_numeric(a: float, reg: Regulator, *,
     No closed-form knowledge of the radial integral or of the summed series
     enters this route.
 
-    Raises ValueError for a tol below 1e-15 (_MIN_NUMERIC_TOL), which the
-    quadrature cannot meet.  Before any integral it raises
+    Raises ValueError for a tol below 1e-14 (_MIN_NUMERIC_TOL), which the
+    quadrature's rounding does not let it meet.  Before any integral it raises
     PrecisionLossError when lambda pi / a is so small (below about
     7.5e-155) that a row's quadrature scale overflows, and TailBoundError
     when 4000 terms cannot bring the tail within its share (lambda pi / a
@@ -366,9 +369,14 @@ def force_per_n_sum(a: float, reg: Regulator, *,
                     tol: float = 1e-12) -> float:
     """Regularized force per unit area by summing the exact per-n terms.
 
+    The result is within tol * |F| of the exact sum: the n-sum stops once
+    its tail bound falls to (tol/2) * |partial sum|, and the other half
+    covers the rounding of up to 200,000 additions.
+
     Raises ValueError for a tol that is not positive and finite, and
-    TailBoundError, before any term, when 200,000 terms cannot meet tol
-    (lambda pi / a below about 1.7e-4 at the default tol).
+    TailBoundError, before any term, when 200,000 terms cannot bring the
+    tail within tol/2 (lambda pi / a below about 1.74e-4 at the default
+    tol).
     """
     import numpy as np
     check_positive_finite("a", a)
@@ -377,7 +385,7 @@ def force_per_n_sum(a: float, reg: Regulator, *,
     def terms(ns: np.ndarray) -> np.ndarray:
         return np.array([per_n_term(a, reg, n) for n in ns.tolist()])
 
-    return _n_sum(terms, a, reg.lam, tol, _PER_N_N_MAX)
+    return _n_sum(terms, a, reg.lam, _TAIL_SHARE * tol, _PER_N_N_MAX)
 
 
 def force_closed_form(a: float, reg: Regulator) -> float:

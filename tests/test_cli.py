@@ -681,14 +681,18 @@ ONE_LINE_FAILURES = [
      "mode (1, 1, 1) at a = 1e+160, L = 1.0: kappa or sigma_zz leaves the "
      "double range"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
-      "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-15"),
+      "--tol=5e-324"], 2, "tol = 5e-324 is below 1e-14"),
     # at lambda pi / a = 6.3 the series' own estimate exceeds |F|, whose
     # sign it once printed wrong with exit 0
     (["force", "--a", "1", "--lambda", "2", "--route", "series"], 2,
      "series route at a = 1.0, lambda = 2.0: the error estimate 0.456 is "
      "not below |force| = 0.173, so no digit of it is significant"),
     (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
-      "--tol=1e-20"], 2, "tol = 1e-20 is below 1e-15"),
+      "--tol=1e-20"], 2, "tol = 1e-20 is below 1e-14"),
+    # below 40 eps, where each radial integral's share tol/10 would sit
+    # under the quadrature's own rounding allowance
+    (["force", "--a", "1", "--lambda", "0.1", "--route", "numeric_sum",
+      "--tol", "5e-15", "--json"], 2, "tol = 5e-15 is below 1e-14"),
     (["force", "--a", "1", "--lambda", "1e-200", "--route", "numeric_sum"],
      2, "lambda*pi/a = 3.142e-200: the exp-sinh scale 1/beta^2 of the "
      "numeric_sum radial integrals overflows"),

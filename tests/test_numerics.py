@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import signal
@@ -140,6 +141,63 @@ class TestIntegrateSemiInfinite:
             evaluations += single.evaluations
         # a row is no longer evaluated once it has converged
         assert block.evaluations == evaluations
+
+    def test_slabbed_block_matches_single_rows(self):
+        # exp(-x) (2 + cos(w x)) for 600 values of w: the rows converge from
+        # level 4 to level 7, and every level splits into slabs, 2 of 481
+        # rows or fewer at level 0 (17 nodes), 8 rows a slab at level 7
+        # (1024 nodes)
+        shapes = []
+
+        def integrand(x, w):
+            shapes.append(x.shape)
+            return np.exp(-x) * (2.0 + np.cos(w * x))
+
+        def block(ws):
+            w = np.asarray(ws)[:, None]
+            return integrate_semi_infinite(integrand, 1e-10,
+                                           scale=np.ones_like(w), params=(w,))
+
+        ws = np.linspace(1.0, 6.0, 600)
+        whole = block(ws)
+        calls_per_level = collections.Counter(nodes for _, nodes in shapes)
+        assert max(rows * nodes for rows, nodes in shapes) <= numerics._SLAB
+        assert len(calls_per_level) == numerics._DE_LEVELS
+        assert min(calls_per_level.values()) >= 2
+        singles = [block([w]) for w in ws]
+        assert whole.value.tolist() == [s.value[0] for s in singles]
+        assert (whole.error_estimate.tolist()
+                == [s.error_estimate[0] for s in singles])
+        assert whole.evaluations == sum(s.evaluations for s in singles)
+
+    @pytest.mark.parametrize("slab", [1, 40])
+    def test_result_does_not_depend_on_the_slab(self, slab, monkeypatch):
+        # 1 evaluates one row per call, 40 two or three rows at level 0
+        betas = np.geomspace(1e-3, 60.0, 37)
+        whole = self._sqrt_kernel_block(betas, 1e-12)
+        monkeypatch.setattr(numerics, "_SLAB", slab)
+        slabbed = self._sqrt_kernel_block(betas, 1e-12)
+        assert slabbed.value.tobytes() == whole.value.tobytes()
+        assert slabbed.error_estimate.tobytes() == whole.error_estimate.tobytes()
+        assert slabbed.evaluations == whole.evaluations
+
+    def test_slabbed_failure_carries_every_row(self, monkeypatch):
+        # with 40 values a slab, level 0 takes the 5 rows two at a time; the
+        # last row does not converge, the others do at their own levels
+        betas = [2.0, 0.3, 25.0, 0.01, 1e-30]
+        singles = [self._sqrt_kernel_block([beta], 1e-11) for beta in betas[:-1]]
+        monkeypatch.setattr(numerics, "_SLAB", 40)
+        with pytest.raises(QuadratureError,
+                           match="did not converge within 8 levels") as info:
+            self._sqrt_kernel_block(betas, 1e-11)
+        assert info.value.value.shape == info.value.error_estimate.shape == (5,)
+        assert info.value.value[:4].tolist() == [s.value[0] for s in singles]
+        assert (info.value.error_estimate[:4].tolist()
+                == [s.error_estimate[0] for s in singles])
+        assert np.isfinite(info.value.value[4])
+        # the failing row took all 8 levels: 17 + 16 + 32 + ... + 1024 values
+        assert (info.value.evaluations
+                == sum(s.evaluations for s in singles) + 17 + 2032)
 
     def test_integrand_may_overwrite_its_abscissae(self):
         def in_place(x, c):

@@ -1,10 +1,12 @@
-"""Shared numerical kernels: quadrature, grid means, tail-bounded sums, fits,
+"""Shared numerical kernels: quadrature, grid means, a blocked sum, fits,
 FD Jacobian, and a map that splits a sweep's numeric_sum cells over the CPUs.
 
-Every routine here is deterministic (same inputs give bit-identical outputs)
-and reports an explicit error measure, either in its result type or in the
-exception it raises.  The only state kept is the read-only exp-sinh nodes,
-cached per level.
+Every routine here is deterministic (same inputs give bit-identical outputs).
+Each reports an explicit error measure, either in its result type or in the
+exception it raises, except the blocked sum: it sums n = 1..n_stop and no
+further, and its caller bounds the tail past n_stop before the first term
+(regsum solves that stop).  The only state kept is the read-only exp-sinh
+nodes, cached per level.
 
 The exp-sinh kernel has one calling convention: it integrates a block of
 rows, one integral per row scale, at most 8 levels deep, in slabs of at most
@@ -30,7 +32,7 @@ import sys
 from typing import (TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence,
                     TypeVar)
 
-from .errors import (IllConditionedFitError, QuadratureError, TailBoundError,
+from .errors import (IllConditionedFitError, QuadratureError,
                      check_positive_finite)
 
 if TYPE_CHECKING:
@@ -211,70 +213,37 @@ def integrate_semi_infinite(
         value=value, error_estimate=estimate, evaluations=evaluations)
 
 
-#: sum_until_tail_bound asks for n = 1.._FIRST_BLOCK first, then for blocks
-#: of at most _MAX_BLOCK terms, which bounds the per-term arrays a terms
-#: callable builds per block.  The exp-sinh kernel bounds its own work
-#: arrays by _SLAB, whatever the block.
-_FIRST_BLOCK = 64
+#: sum_until_tail_bound asks for at most _MAX_BLOCK terms at a time, which
+#: bounds the per-term arrays a terms callable builds per block.  The
+#: exp-sinh kernel bounds its own work arrays by _SLAB, whatever the block.
 _MAX_BLOCK = 512
 
 
-def sum_until_tail_bound(
-    terms: Callable[[np.ndarray], np.ndarray],
-    tail_bound: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    *,
-    max_terms: int,
-) -> float:
-    """Sum term(1) + term(2) + ... until the tail is provably negligible.
+def sum_until_tail_bound(terms: Callable[[np.ndarray], np.ndarray],
+                         n_stop: int) -> float:
+    """term(1) + term(2) + ... + term(n_stop), left to right.
 
-    ``terms(ns)`` returns term(n) for each n of an integer array of
-    consecutive n, and ``tail_bound(ns)`` bounds abs(sum of term(m) for
-    m > n) for each; a valid bound, and terms that all share one sign, are
-    the caller's contract.  Terms are added in increasing n, left to right
-    into one running float, until tail_bound(n) <= tol * abs(partial sum),
-    so the returned value differs from the full sum by at most that amount
-    plus the rounding of the running sum.
-
-    The terms are asked for in blocks: n = 1..64, then at most 512 at a
-    time, each block ending at the first n whose bound already meets tol
-    times the sum so far.  The partial sums only grow in magnitude, so the
-    sum stops at or before that n, and no term past the block that holds
-    the stopping n is computed.
-
-    Raises FloatingPointError (an ArithmeticError) at the first block that
-    holds a non-finite term, and TailBoundError (carrying the partial sum
-    and the bound) after ``max_terms`` terms, a hard cap: callers check up
-    front that ``max_terms`` terms can meet tol.
+    The caller has already bounded the tail past ``n_stop``; this only
+    sums.  ``terms(ns)`` returns term(n) for each n of an integer array of
+    consecutive n, and is asked for n = 1..n_stop in consecutive blocks of
+    at most 512.  Each term is added into one running float, in increasing
+    n, so the result is bit-identical to ``total += term(n)`` one term at a
+    time.  Raises FloatingPointError (an ArithmeticError), naming the first
+    non-finite term, at the block that holds it.
     """
     import numpy as np
-    check_positive_finite("tol", tol)
     total = 0.0
-    ns = np.arange(1, min(_FIRST_BLOCK, max_terms) + 1)
-    values, bounds = terms(ns), tail_bound(ns)
-    while True:
+    for first in range(1, n_stop + 1, _MAX_BLOCK):
+        ns = np.arange(first, min(first + _MAX_BLOCK, n_stop + 1))
+        values = terms(ns)
         finite = np.isfinite(values)
         if not finite.all():
             raise FloatingPointError(
                 f"term {ns[np.argmin(finite)]} of the sum is not finite")
-        # as in float arithmetic, an overflowing sum or tol * |sum| is inf
+        # as in float arithmetic, an overflowing sum is inf
         with np.errstate(over="ignore"):
-            partial = np.cumsum(np.concatenate(([total], values)))[1:]
-            met = np.flatnonzero(bounds <= tol * np.abs(partial))
-        if met.size:
-            return float(partial[met[0]])
-        total = float(partial[-1])
-        if ns[-1] >= max_terms:
-            raise TailBoundError(
-                f"tail bound {bounds[-1]:.3e} still above tol*|sum| after "
-                f"{max_terms} terms",
-                partial_sum=total, bound=float(bounds[-1]))
-        ns = np.arange(ns[-1] + 1, min(ns[-1] + _MAX_BLOCK, max_terms) + 1)
-        bounds = tail_bound(ns)
-        met = np.flatnonzero(bounds <= tol * abs(total))
-        if met.size:
-            ns, bounds = ns[:met[0] + 1], bounds[:met[0] + 1]
-        values = terms(ns)
+            total = float(np.cumsum(np.concatenate(([total], values)))[-1])
+    return total
 
 
 _COND_MAX = 1e6

@@ -218,35 +218,42 @@ def _tail_fraction(n: int | np.ndarray, ratio: float) -> np.ndarray:
     return np.exp(-n * ratio) * (1.0 + n * x * (2.0 + n * x) / (1.0 + q))
 
 
-def _n_sum(terms: Callable[[np.ndarray], np.ndarray], a: float, lam: float,
-           tol: float, n_max: int) -> float:
-    """Sum an n-sum route's terms(ns) until its tail is below tol*|sum|.
+def _n_stop(a: float, lam: float, tol: float, n_max: int) -> tuple[int, float]:
+    """(n_stop, |F|) of an n-sum route, solved before its first term.
 
     Both routes have |term(m)| <= |pref| m^2 (1/lambda) q^m, q = exp(-lambda
     pi / a) (for numeric_sum, R_m <= (1/lambda) e^(-lambda m pi/a)), so the
-    tail past n is at most |F| _tail_fraction(n), |F| being the tail past 0.
-    A stop needs that at most tol |F|, so TailBoundError (partial sum 0.0)
-    comes before any term when _tail_fraction(n_max) > tol.  Like float
-    arithmetic, the bound turns overflow into inf and inf * 0 into nan.
+    tail past n is at most |F| frac(n), frac being _tail_fraction and |F|
+    the tail past 0, and |partial_n| >= |F| (1 - frac(n)).  n_stop is the
+    smallest n <= n_max with frac(n) <= tol (1 - frac(n)), which keeps the
+    tail within tol |partial_n|; frac decreases with n, so it is found by
+    bisection.  When n_max itself misses that, TailBoundError (partial sum
+    0.0) comes before any term.  |F| may overflow to inf, or to nan when q
+    underflows too.
     """
-    import numpy as np
-    from .numerics import sum_until_tail_bound
     ratio = lam * math.pi / a
     q, x = math.exp(-ratio), -math.expm1(-ratio)
-    # |F|; x**3 would underflow to 0 for x below about 1.7e-108
+    # x**3 would underflow to 0 for x below about 1.7e-108
     magnitude = abs(_prefactor(a)) / lam * q * (1.0 + q) / x / x / x
-    relative = float(_tail_fraction(n_max, ratio))
-    if relative > tol:
+
+    def stops(n: int) -> bool:
+        frac = float(_tail_fraction(n, ratio))
+        return frac <= tol * (1.0 - frac)
+
+    if not stops(n_max):
+        relative = float(_tail_fraction(n_max, ratio))
         raise TailBoundError(
             f"lambda*pi/a = {ratio:.3e} is below the {n_max}-term budget: "
             f"tail bound {relative:.3e} |F| still above {tol:.3g} |F| after "
             f"{n_max} terms", partial_sum=0.0, bound=relative * magnitude)
-
-    def bound(ns: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return magnitude * _tail_fraction(ns, ratio)
-
-    return sum_until_tail_bound(terms, bound, tol, max_terms=n_max)
+    missed, n_stop = 0, n_max  # frac(0) = 1 never stops
+    while n_stop - missed > 1:
+        mid = (missed + n_stop) // 2
+        if stops(mid):
+            n_stop = mid
+        else:
+            missed = mid
+    return n_stop, magnitude
 
 
 #: Term budgets of the two n-sum routes.  With the tail at tol/2 of their
@@ -310,17 +317,18 @@ def force_sum_numeric(a: float, reg: Regulator, *,
     """Regularized force per unit area by numerical n-sum and quadrature.
 
     The result is within tol * |F| of the exact sum; three shares of that
-    budget are spent where the sum needs them.  The n-sum, over blocks of
-    consecutive n, stops once the exact geometric tail bound falls to
-    (tol/2) * |partial sum|.  Each radial integral R_n is evaluated by
-    double-exponential quadrature until its term is exact to
-    (tol/10) * |term_n| or to 0.3 tol |S_prev| / 4000, whichever is larger,
-    where S_prev is the sum of the blocks before its own: the terms share
-    one sign, so |S_prev| <= |F|, and at most 4000 (_NUMERIC_N_MAX) rows
-    take that absolute share.  The quadrature then errs by at most
-    0.4 tol |F| in all, and rows far out in the sum stop at a coarse level.
-    No closed-form knowledge of the radial integral or of the summed series
-    enters this route.
+    budget are spent where the sum needs them.  The n-sum runs over
+    n = 1..n_stop, solved before the first term as the first n whose exact
+    geometric tail bound is within (tol/2) * |partial sum|.  Each radial
+    integral R_n is evaluated by double-exponential quadrature until its
+    term is exact to (tol/10) * |term_n| or to 0.3 tol |F| / n_stop,
+    whichever is larger, so the quadrature errs by at most 0.4 tol |F| in
+    all, and rows far out in the sum stop at a coarse level.  That absolute
+    allowance reads |F| from the closed-form magnitude the tail bound
+    already uses: it bounds the error, not the result.  The result comes
+    only from quadrature, with no closed-form knowledge of the radial
+    integral or of the summed series, and verify's route_agreement check
+    confronts it with the closed form.
 
     Raises ValueError for a tol below 1e-14 (_MIN_NUMERIC_TOL), which the
     quadrature's rounding does not let it meet.  Before any integral it raises
@@ -331,6 +339,7 @@ def force_sum_numeric(a: float, reg: Regulator, *,
     integral fails and FloatingPointError if a term is not finite.
     """
     import numpy as np
+    from .numerics import sum_until_tail_bound
     check_positive_finite("a", a)
     check_positive_finite("tol", tol)
     if tol < _MIN_NUMERIC_TOL:
@@ -345,33 +354,35 @@ def force_sum_numeric(a: float, reg: Regulator, *,
             raise PrecisionLossError(
                 f"lambda*pi/a = {ratio:.3e}: the exp-sinh scale 1/beta^2 "
                 "of the numeric_sum radial integrals overflows")
-    summed = 0.0  # S_prev of the next block
+    n_stop, magnitude = _n_stop(a, lam, _TAIL_SHARE * tol, _NUMERIC_N_MAX)
+    # each row's term may keep an equal part of the absolute share; where
+    # |F| overflows, no row gets any (rather than a nan from inf / inf)
+    share = _ABSOLUTE_SHARE * tol * magnitude / n_stop
+    if not math.isfinite(share):
+        share = 0.0
 
     def terms(ns: np.ndarray) -> np.ndarray:
-        nonlocal summed
-        # the allowance of R_n is its term's absolute share over |pref| n^2
-        # (zero while S_prev is, so no 0/0 when the prefactor underflows)
-        share = _ABSOLUTE_SHARE * tol * abs(summed) / _NUMERIC_N_MAX
         # Extreme a or lambda overflow the prefactor, M, beta or the scale.
         # The terms they touch come out non-finite, which the sum rejects,
         # or their integrals never converge, which the quadrature reports.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # R_n's allowance is its term's share over |pref| n^2 (zero
+            # with the share, so no 0/0 when the prefactor underflows)
             allowance = share / (abs(pref) * ns * ns) if share else 0.0
-            values = pref * ns * ns * _radial_integrals(
+            return pref * ns * ns * _radial_integrals(
                 a, lam, ns, _ROW_SHARE * tol, allowance)
-            summed += float(values.sum())
-        return values
 
-    return _n_sum(terms, a, lam, _TAIL_SHARE * tol, _NUMERIC_N_MAX)
+    return sum_until_tail_bound(terms, n_stop)
 
 
 def force_per_n_sum(a: float, reg: Regulator, *,
                     tol: float = 1e-12) -> float:
     """Regularized force per unit area by summing the exact per-n terms.
 
-    The result is within tol * |F| of the exact sum: the n-sum stops once
-    its tail bound falls to (tol/2) * |partial sum|, and the other half
-    covers the rounding of up to 200,000 additions.
+    The result is within tol * |F| of the exact sum: the n-sum runs to the
+    n_stop that _n_stop solves, where its tail bound is within
+    (tol/2) * |partial sum|, and the other half covers the rounding of up
+    to 200,000 additions.
 
     Raises ValueError for a tol that is not positive and finite, and
     TailBoundError, before any term, when 200,000 terms cannot bring the
@@ -379,13 +390,15 @@ def force_per_n_sum(a: float, reg: Regulator, *,
     tol).
     """
     import numpy as np
+    from .numerics import sum_until_tail_bound
     check_positive_finite("a", a)
     check_positive_finite("tol", tol)
+    n_stop, _ = _n_stop(a, reg.lam, _TAIL_SHARE * tol, _PER_N_N_MAX)
 
     def terms(ns: np.ndarray) -> np.ndarray:
         return np.array([per_n_term(a, reg, n) for n in ns.tolist()])
 
-    return _n_sum(terms, a, reg.lam, _TAIL_SHARE * tol, _PER_N_N_MAX)
+    return sum_until_tail_bound(terms, n_stop)
 
 
 def force_closed_form(a: float, reg: Regulator) -> float:

@@ -259,43 +259,29 @@ class TestIntegrateSemiInfinite:
 
 class TestSumUntilTailBound:
     def test_basel_series(self):
-        # sum 1/n^2 = pi^2/6; tail past n is below 1/n
-        total = sum_until_tail_bound(lambda n: 1.0 / n**2,
-                                     lambda n: 1.0 / n, 1e-5,
-                                     max_terms=200_000)
-        assert abs(total - math.pi**2 / 6.0) <= 1.1e-5 * (math.pi**2 / 6.0)
+        # sum 1/n^2 = pi^2/6, and the tail past n lies between 1/(n+1) and
+        # 1/n; the 100,000 additions round off by less than 2e-11
+        n_stop = 100_000
+        total = sum_until_tail_bound(lambda n: 1.0 / n**2, n_stop)
+        tail = math.pi**2 / 6.0 - total
+        assert 1.0 / (n_stop + 1) - 2e-11 <= tail <= 1.0 / n_stop + 2e-11
 
     def test_geometric_series_exact_tail(self):
+        # the tail past n = 40 is q^41 / (1 - q), below 1e-17
         q = 0.37
-        total = sum_until_tail_bound(lambda n: q**n,
-                                     lambda n: q ** (n + 1) / (1.0 - q),
-                                     1e-14, max_terms=200_000)
+        total = sum_until_tail_bound(lambda n: q**n, 40)
         assert total == pytest.approx(q / (1.0 - q), rel=1e-13)
 
-    def test_exhaustion_raises(self):
-        with pytest.raises(TailBoundError) as info:
-            sum_until_tail_bound(lambda n: 1.0 / n,
-                                 lambda n: np.full(n.shape, 1.0), 1e-10,
-                                 max_terms=50)
-        assert info.value.bound == 1.0
-        assert info.value.partial_sum > 0.0
-
-    def test_rejects_bad_tol(self):
-        for tol in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
-                sum_until_tail_bound(lambda n: np.zeros(n.shape),
-                                     lambda n: np.zeros(n.shape), tol,
-                                     max_terms=200_000)
-
     @staticmethod
-    def _running_sum(term, tail_bound, tol, max_terms):
-        """The reference: one term at a time into a running float."""
-        total = 0.0
-        for n in range(1, max_terms + 1):
+    def _running_sum(term, tail_bound, tol):
+        """The reference: one term at a time into a running float, until
+        the tail bound is at most tol times the sum so far."""
+        total, n = 0.0, 0
+        while True:
+            n += 1
             total += float(term(np.array([n]))[0])
             if float(tail_bound(np.array([n]))[0]) <= tol * abs(total):
                 return total, n
-        raise AssertionError("reference sum did not stop")
 
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.99, 0.999])
     def test_blocks_match_running_sum(self, q):
@@ -308,34 +294,35 @@ class TestSumUntilTailBound:
         def tail_bound(ns):
             return q ** (ns + 1) * (ns + 1.0 / (1.0 - q)) / (1.0 - q)
 
-        total = sum_until_tail_bound(terms, tail_bound, 1e-12,
-                                     max_terms=200_000)
-        ns = np.concatenate(asked)
-        expected, stop = self._running_sum(terms, tail_bound, 1e-12, 200_000)
+        expected, stop = self._running_sum(terms, tail_bound, 1e-12)
+        del asked[:]
+        total = sum_until_tail_bound(terms, stop)
+        # bit for bit the running float, over consecutive runs of at most
+        # 512 terms that end at the stop
         assert total == expected
-        # consecutive blocks, none of them past the one that holds the stop
-        assert np.array_equal(ns, np.arange(1, ns.size + 1))
-        assert stop <= ns.size < stop + 512
+        assert np.array_equal(np.concatenate(asked), np.arange(1, stop + 1))
+        assert [ns.size for ns in asked[:-1]] == [512] * (len(asked) - 1)
+        assert 1 <= asked[-1].size <= 512
 
     def test_non_finite_term_raises_at_first_block(self):
-        asked = []
+        # term 100 lies in the first block, term 700 in the second; no
+        # block past the one that holds it is asked for
+        for bad, blocks in ((100, [512]), (700, [512, 512])):
+            asked = []
 
-        def terms(ns):
-            asked.append(ns.size)
-            return np.where(ns < 100, 1.0 / ns**2, math.nan)
+            def terms(ns):
+                asked.append(ns.size)
+                return np.where(ns < bad, 1.0 / ns**2, math.nan)
 
-        # tol 1e-3 is reachable within max_terms (near n = 600), so the
-        # sum goes on to the second block, n = 65..576, which holds term 100
-        with pytest.raises(FloatingPointError, match="term 100"):
-            sum_until_tail_bound(terms, lambda n: 1.0 / n, 1e-3,
-                                 max_terms=4000)
-        assert sum(asked) < 1000
+            with pytest.raises(FloatingPointError, match=f"term {bad} "):
+                sum_until_tail_bound(terms, 4000)
+            assert asked == blocks
 
     @given(q=st.floats(min_value=0.05, max_value=0.9))
     def test_geometric_series_property(self, q):
-        total = sum_until_tail_bound(lambda n: q**n,
-                                     lambda n: q ** (n + 1) / (1.0 - q),
-                                     1e-10, max_terms=200_000)
+        # past n_stop the tail is q^n_stop of the sum, at most 1e-11
+        n_stop = math.ceil(math.log(1e-11) / math.log(q))
+        total = sum_until_tail_bound(lambda n: q**n, n_stop)
         exact = q / (1.0 - q)
         assert abs(total - exact) <= 2e-10 * exact
 

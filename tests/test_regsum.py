@@ -177,6 +177,36 @@ class TestTailFraction:
         assert fractions.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
+class TestNStop:
+    """regsum._n_stop, the one stop rule of both n-sum routes."""
+
+    @settings(deadline=None)
+    @given(ratio=st.floats(min_value=0.0075, max_value=700.0),
+           tol=st.floats(min_value=1e-15, max_value=1e-3),
+           n_max=st.sampled_from([4000, 200_000]))
+    def test_bisection_finds_the_first_stop(self, ratio, tol, n_max):
+        lam = ratio / math.pi
+        fractions = regsum._tail_fraction(np.arange(n_max + 1), lam * math.pi)
+        stops = np.flatnonzero(fractions <= tol * (1.0 - fractions))
+        if stops.size == 0:
+            with pytest.raises(TailBoundError):
+                regsum._n_stop(1.0, lam, tol, n_max)
+        else:
+            n_stop, magnitude = regsum._n_stop(1.0, lam, tol, n_max)
+            assert n_stop == stops[0]
+            assert magnitude == pytest.approx(-force_closed_form(1.0, Regulator(lam)),
+                                              rel=1e-13)
+
+    def test_n_sums_reject_bad_tol(self, monkeypatch):
+        # the tol check comes before the stop is solved
+        monkeypatch.setattr(regsum, "_n_stop", None)
+        for route in (force_sum_numeric, force_per_n_sum):
+            for tol in (-1.0, 0.0, math.nan, math.inf):
+                with pytest.raises(ValueError,
+                                   match="tol must be positive and finite"):
+                    route(1.0, Regulator(0.1), tol=tol)
+
+
 class TestClosedForm:
     def test_frozen_unit_value(self):
         got = force_closed_form(1.0, Regulator(1.0))
@@ -211,8 +241,8 @@ class TestNumericSum:
     @pytest.mark.parametrize("ratio", [12.0, 5.0 * math.pi, 20.0, 360.0,
                                        650.0])
     def test_matches_closed_form_at_large_cutoffs(self, ratio):
-        # the first block of radial integrals then reaches the subnormal
-        # range (lambda pi n / a > 708) long before the sum stops
+        # the sum stops within a few rows here, each radial integral far
+        # down the decay of exp(-lambda pi n / a)
         a = 1.0
         reg = Regulator(ratio * a / math.pi)
         numeric = force_sum_numeric(a, reg, tol=1e-10)
@@ -227,10 +257,12 @@ class TestNumericSum:
         closed = force_closed_form(a, reg)
         assert abs(numeric - closed) <= 1e-4 * abs(closed) + 1e-320
 
-    @pytest.mark.parametrize("ratio", [0.02, 0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("ratio", [0.02, 0.05, 0.1, 0.2, 1.0, 3.0])
     def test_integrates_only_what_the_sum_uses(self, ratio, monkeypatch):
-        # at these cutoffs the sum stops past its first block of 64 terms
-        integrated, counts = [], []
+        # the sum integrates rows 1..n_stop and no other, and n_stop, solved
+        # before the first term, is where a running float sum of the same
+        # terms first meets its tail bound
+        integrated, computed = [], []
         radial = regsum._radial_integrals
         block_sum = numerics.sum_until_tail_bound
 
@@ -238,30 +270,65 @@ class TestNumericSum:
             integrated.append(np.size(ns))
             return radial(a, lam, ns, tol, allowance)
 
-        def counting_sum(terms, tail_bound, tol, **kwargs):
-            computed = []
-
+        def recording_sum(terms, n_stop):
             def recording(ns):
                 values = terms(ns)
-                computed.append(np.atleast_1d(values))
+                computed.extend(values.tolist())
                 return values
 
-            total = block_sum(recording, tail_bound, tol, **kwargs)
-            # the n at which a running sum of the same terms stops
-            running = 0.0
-            for n, value in enumerate(np.concatenate(computed).tolist(), 1):
-                running += value
-                if tail_bound(np.array([n]))[0] <= tol * abs(running):
-                    assert total == running
-                    counts.append((sum(integrated), n))
-                    return total
-            raise AssertionError("the running sum did not stop")
+            return block_sum(recording, n_stop)
 
         monkeypatch.setattr(regsum, "_radial_integrals", counting_radial)
-        monkeypatch.setattr(numerics, "sum_until_tail_bound", counting_sum)
-        force_sum_numeric(1.0, Regulator(ratio / math.pi), tol=1e-10)
-        (rows, summed), = counts
-        assert summed <= rows <= 1.05 * summed
+        monkeypatch.setattr(numerics, "sum_until_tail_bound", recording_sum)
+        tol, lam = 1e-10, ratio / math.pi
+        total = force_sum_numeric(1.0, Regulator(lam), tol=tol)
+        n_stop, magnitude = regsum._n_stop(1.0, lam, tol / 2, 4000)
+        assert sum(integrated) == len(computed) == n_stop
+        running = 0.0
+        for n, value in enumerate(computed, 1):
+            running += value
+            bound = magnitude * float(regsum._tail_fraction(n, lam * math.pi))
+            if bound <= tol / 2 * abs(running):
+                break
+        assert (n, running) == (n_stop, total)
+
+    def test_converges_at_the_tol_floor_for_large_cutoffs(self):
+        # every row takes its share of the absolute budget from the first
+        # row on, so the rows far out in the sum stop at a coarse level
+        # even at the floor.  Past tol |F| the deviation holds two terms
+        # that tol does not govern: the rounding of lambda pi n / a, which
+        # exp(-lambda pi n / a) amplifies by its argument (measured up to
+        # 0.45 ratio eps |F|, 6 tol |F| at 602), and the kernel's absolute
+        # floor, the smallest normal float per radial integral (6.7e-6 |F|
+        # at 700, where R_1 is near it)
+        tol, tiny = 1e-14, sys.float_info.min
+        for k in range(40):
+            ratio = 2.0 * 350.0 ** (k / 39)
+            lam = ratio / math.pi
+            numeric = force_sum_numeric(1.0, Regulator(lam), tol=tol)
+            exact = _closed_form_50_digits(1.0, lam)
+            n_stop, _ = regsum._n_stop(1.0, lam, tol / 2, 4000)
+            floor = (abs(regsum._prefactor(1.0)) * 0.5 * math.pi * tiny
+                     * sum(n**3 for n in range(1, n_stop + 1)))
+            bound = Decimal(tol + ratio * sys.float_info.epsilon) * abs(exact)
+            assert abs(Decimal(numeric) - exact) <= bound + Decimal(floor), k
+
+    def test_extreme_separations_converge_or_are_refused(self):
+        # over 601 decades of a, every cell converges or is refused with a
+        # typed error (the budget, or a force or scale out of the double
+        # range); no radial integral fails to converge
+        outcomes = set()
+        for a, ratio, tol in itertools.product(
+                [10.0**k for k in range(-300, 301, 30)],
+                [0.0075, 0.05, 0.3, 2.0, 7.0, 40.0, 120.0, 700.0],
+                [1e-14, 1e-10]):
+            try:
+                decompose(a, Regulator(ratio * a / math.pi), "numeric_sum",
+                          tol=tol)
+                outcomes.add("converged")
+            except (TailBoundError, PrecisionLossError) as exc:
+                outcomes.add(type(exc).__name__)
+        assert outcomes == {"converged", "TailBoundError", "PrecisionLossError"}
 
     @pytest.mark.parametrize("tol", [9.9e-15, 5e-15, 9.9e-16, 1e-20, 5e-324])
     def test_rejects_tol_below_floor(self, tol):

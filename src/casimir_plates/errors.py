@@ -1,9 +1,10 @@
 """Error types of the package and its one shared input check.
 
 The kernels in numerics raise NumericsError and its subclasses, the force
-routes PrecisionLossError, and modes TransversalityError.  They live here,
-apart from the kernels, so that a command can catch them, and a layer can
-validate its inputs, without compiling the kernels it does not run.
+routes PrecisionLossError and TailBoundError, and modes
+TransversalityError.  They live here, apart from the kernels, so that a
+command can catch them, and a layer can validate its inputs, without
+compiling the kernels it does not run.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ class QuadratureError(NumericsError):
 
 
 class TailBoundError(NumericsError):
-    """A truncated sum's tail bound never dropped below tolerance."""
+    """An n-sum's term budget cannot bring its tail bound within tolerance.
 
-    def __init__(self, message: str, partial_sum: float, bound: float):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.bound = bound
+    Raised before the first term; the message gives the tail bound after
+    the budget relative to |F|.
+    """
 
 
 class IllConditionedFitError(NumericsError):

@@ -45,7 +45,6 @@ __all__ = [
     "ROUTES",
     "BASIS_EXPONENTS",
     "bernoulli_numbers",
-    "series_coefficients",
     "per_n_term",
     "force_sum_numeric",
     "force_per_n_sum",
@@ -160,23 +159,13 @@ def bernoulli_numbers(h_max: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def series_coefficients(h_max: int) -> dict[int, tuple[int, int]]:
-    """Exact coefficients of the non-vanishing series orders h <= h_max.
-
-    The order-h coefficient is -(1/2) (B_h / h!) (-1)^h (h-1)(h-2); see
-    series_terms.  Returns a new dict {h: (numerator, denominator)}, h
-    increasing, each pair reduced, read from a table computed once per
-    h_max (h_max >= 4).
-    """
-    return {h: (num, den) for h, num, den in _series_table(h_max)}
-
-
 @functools.lru_cache(maxsize=8)
 def _series_table(h_max: int) -> tuple[tuple[int, int, int], ...]:
     """(h, numerator, denominator) of each non-vanishing coefficient, reduced.
 
-    The int division num / den is the correctly rounded double of the
-    coefficient.
+    The order-h coefficient is -(1/2) (B_h / h!) (-1)^h (h-1)(h-2) (see
+    series_terms), for h <= h_max (h_max >= 4); the int division num / den
+    is its correctly rounded double.
     """
     table = []
     for h, (num, den) in enumerate(bernoulli_numbers(h_max)):
@@ -227,14 +216,13 @@ def _n_stop(a: float, lam: float, tol: float, n_max: int) -> tuple[int, float]:
     the tail past 0, and |partial_n| >= |F| (1 - frac(n)).  n_stop is the
     smallest n <= n_max with frac(n) <= tol (1 - frac(n)), which keeps the
     tail within tol |partial_n|; frac decreases with n, so it is found by
-    bisection.  When n_max itself misses that, TailBoundError (partial sum
-    0.0) comes before any term.  |F| may overflow to inf, or to nan when q
-    underflows too.
+    bisection.  When n_max itself misses that, TailBoundError comes before
+    any term; frac alone decides it, so a lambda pi / a that underflows to 0
+    (frac = 1) is refused too.  Only then is |F| computed: PrecisionLossError,
+    naming a, if (pi/a)^2 overflows, and otherwise it may overflow to inf,
+    or to nan when q underflows too.
     """
     ratio = lam * math.pi / a
-    q, x = math.exp(-ratio), -math.expm1(-ratio)
-    # x**3 would underflow to 0 for x below about 1.7e-108
-    magnitude = abs(_prefactor(a)) / lam * q * (1.0 + q) / x / x / x
 
     def stops(n: int) -> bool:
         frac = float(_tail_fraction(n, ratio))
@@ -245,7 +233,7 @@ def _n_stop(a: float, lam: float, tol: float, n_max: int) -> tuple[int, float]:
         raise TailBoundError(
             f"lambda*pi/a = {ratio:.3e} is below the {n_max}-term budget: "
             f"tail bound {relative:.3e} |F| still above {tol:.3g} |F| after "
-            f"{n_max} terms", partial_sum=0.0, bound=relative * magnitude)
+            f"{n_max} terms")
     missed, n_stop = 0, n_max  # frac(0) = 1 never stops
     while n_stop - missed > 1:
         mid = (missed + n_stop) // 2
@@ -253,7 +241,14 @@ def _n_stop(a: float, lam: float, tol: float, n_max: int) -> tuple[int, float]:
             n_stop = mid
         else:
             missed = mid
-    return n_stop, magnitude
+    try:
+        pref = _prefactor(a)
+    except OverflowError:
+        raise PrecisionLossError(f"a = {a!r}: (pi/a)^2 of the n-sum's "
+                                 "prefactor leaves the double range") from None
+    q, x = math.exp(-ratio), -math.expm1(-ratio)
+    # x**3 would underflow to 0 for x below about 1.7e-108
+    return n_stop, abs(pref) / lam * q * (1.0 + q) / x / x / x
 
 
 #: Term budgets of the two n-sum routes.  With the tail at tol/2 of their
@@ -332,11 +327,11 @@ def force_sum_numeric(a: float, reg: Regulator, *,
 
     Raises ValueError for a tol below 1e-14 (_MIN_NUMERIC_TOL), which the
     quadrature's rounding does not let it meet.  Before any integral it raises
-    PrecisionLossError when lambda pi / a is so small (below about
-    7.5e-155) that a row's quadrature scale overflows, and TailBoundError
-    when 4000 terms cannot bring the tail within its share (lambda pi / a
-    below about 0.0075 at the default tol).  Raises QuadratureError if an
-    integral fails and FloatingPointError if a term is not finite.
+    TailBoundError when 4000 terms cannot bring the tail within its share
+    (lambda pi / a below about 0.0075 at the default tol), and
+    PrecisionLossError, naming a, where (pi/a)^2 overflows.  Raises
+    QuadratureError if an integral fails and FloatingPointError if a term is
+    not finite.
     """
     import numpy as np
     from .numerics import sum_until_tail_bound
@@ -346,15 +341,8 @@ def force_sum_numeric(a: float, reg: Regulator, *,
         raise ValueError(f"tol = {tol!r} is below {_MIN_NUMERIC_TOL:g}, the "
                          "smallest the numeric_sum route can meet")
     lam = reg.lam
-    pref = _prefactor(a)
-    ratio = lam * math.pi / a
-    with np.errstate(over="ignore", divide="ignore"):
-        beta = np.float64(lam) * (math.pi / a)
-        if not np.isfinite(1.0 / beta**2 + 2.0 / beta):  # inf abscissae
-            raise PrecisionLossError(
-                f"lambda*pi/a = {ratio:.3e}: the exp-sinh scale 1/beta^2 "
-                "of the numeric_sum radial integrals overflows")
     n_stop, magnitude = _n_stop(a, lam, _TAIL_SHARE * tol, _NUMERIC_N_MAX)
+    pref = _prefactor(a)
     # each row's term may keep an equal part of the absolute share; where
     # |F| overflows, no row gets any (rather than a nan from inf / inf)
     share = _ABSOLUTE_SHARE * tol * magnitude / n_stop
@@ -384,10 +372,11 @@ def force_per_n_sum(a: float, reg: Regulator, *,
     (tol/2) * |partial sum|, and the other half covers the rounding of up
     to 200,000 additions.
 
-    Raises ValueError for a tol that is not positive and finite, and
-    TailBoundError, before any term, when 200,000 terms cannot bring the
+    Raises ValueError for a tol that is not positive and finite.  Before
+    any term it raises TailBoundError when 200,000 terms cannot bring the
     tail within tol/2 (lambda pi / a below about 1.74e-4 at the default
-    tol).
+    tol), and PrecisionLossError, naming a, where (pi/a)^2 overflows.
+    Raises FloatingPointError if a term is not finite.
     """
     import numpy as np
     from .numerics import sum_until_tail_bound

@@ -73,7 +73,7 @@ def test_bernoulli_and_series_coefficients_exact():
     assert table[6] == (1, 42)
     assert table[8] == (-1, 30)
 
-    coefficients = regsum.series_coefficients(8)
+    coefficients = {h: (num, den) for h, num, den in regsum._series_table(8)}
     # the finite part's coefficient assembled from B_4, exactly
     r_4 = Fraction(-3 * 2, 2 * math.factorial(4)) * Fraction(*table[4])
     assert coefficients[4] == (r_4.numerator, r_4.denominator)

@@ -10,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import numerics
-from casimir_plates.errors import (
-    IllConditionedFitError,
-    QuadratureError,
-    TailBoundError,
-)
+from casimir_plates.errors import IllConditionedFitError, QuadratureError
 from casimir_plates.numerics import (
     fit_linear_basis,
     integrate_semi_infinite,
@@ -558,14 +554,16 @@ class TestParallelMap:
     def test_worker_exception_raised_again_in_caller(self):
         def fail_from_four(x):
             if x >= 4:
-                raise TailBoundError(f"item {x}", partial_sum=x, bound=2.0 * x)
+                raise QuadratureError(f"item {x}", value=x,
+                                      error_estimate=2.0 * x, evaluations=3 * x)
             return x
 
         # items 6 and 9 raise in the caller, 4, 7 and 10 in a worker
-        with pytest.raises(TailBoundError, match=r"^item 4$") as info:
+        with pytest.raises(QuadratureError, match=r"^item 4$") as info:
             parallel_map(fail_from_four, range(12))
         _assert_no_children()
-        assert (info.value.partial_sum, info.value.bound) == (4, 8.0)
+        assert (info.value.value, info.value.error_estimate,
+                info.value.evaluations) == (4, 8.0, 12)
 
     def test_killed_worker_still_yields_every_result(self, tmp_path):
         caller = os.getpid()

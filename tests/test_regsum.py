@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -32,7 +33,6 @@ from casimir_plates.regsum import (
     force_per_n_sum,
     force_sum_numeric,
     per_n_term,
-    series_coefficients,
     series_terms,
     series_value,
 )
@@ -127,11 +127,26 @@ class TestPerNTerm:
         monkeypatch.setattr(regsum, "per_n_term", counting_term)
         with pytest.raises(TailBoundError,
                            match=f"lambda\\*pi/a = {ratio:.3e} is below the "
-                                 "200000-term budget") as info:
+                                 "200000-term budget"):
             force_per_n_sum(1.0, Regulator(ratio / math.pi))
         assert calls == []
-        assert info.value.partial_sum == 0.0
-        assert info.value.bound > 0.0
+
+    @pytest.mark.parametrize("a, lam, error, message", [
+        # lambda pi / a underflows to 0, so frac = 1 misses the budget
+        pytest.param(1e300, 1e-30, TailBoundError,
+                     r"lambda\*pi/a = 0\.000e\+00 is below", id="ratio-0"),
+        # lambda pi / a is inf and stops at n = 1, but (pi/a)^2 overflows
+        pytest.param(1e-300, 1e300, PrecisionLossError,
+                     r"^a = 1e-300: \(pi/a\)\^2", id="ratio-inf"),
+    ])
+    def test_extreme_cutoff_is_refused_before_any_term(self, a, lam, error,
+                                                       message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(regsum, "per_n_term",
+                            lambda *args: calls.append(args))
+        with pytest.raises(error, match=message):
+            force_per_n_sum(a, Regulator(lam))
+        assert calls == []
 
     def test_sum_converges_just_above_its_budget(self):
         # the tail takes tol/2 * |F|, and the rounding of the ~195,000
@@ -196,6 +211,48 @@ class TestNStop:
             assert n_stop == stops[0]
             assert magnitude == pytest.approx(-force_closed_form(1.0, Regulator(lam)),
                                               rel=1e-13)
+
+    def test_extreme_grid_returns_or_refuses_with_a_typed_error(
+            self, monkeypatch):
+        # 40 log-spaced values over [1e-320, 1e308] and the ends of the
+        # double range, on both axes: each n-sum returns a finite float,
+        # refuses before its first term with TailBoundError or
+        # PrecisionLossError, or names a non-finite term with
+        # FloatingPointError; no ZeroDivisionError or OverflowError escapes
+        calls = []
+        kernel, term = numerics.integrate_semi_infinite, regsum.per_n_term
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        def counting_term(*args):
+            calls.append(args)
+            return term(*args)
+
+        monkeypatch.setattr(numerics, "integrate_semi_infinite",
+                            counting_kernel)
+        monkeypatch.setattr(regsum, "per_n_term", counting_term)
+        values = [10.0 ** (-320 + 628 * k / 39) for k in range(40)]
+        values += [5e-324, 1.7e308]
+        outcomes = set()
+        for a, lam, tol in itertools.product(values, values,
+                                             [1e-14, 1e-10, 1.0]):
+            for n_sum in (force_per_n_sum, force_sum_numeric):
+                cell = (n_sum.__name__, a, lam, tol)
+                del calls[:]
+                try:
+                    total = n_sum(a, Regulator(lam), tol=tol)
+                except (TailBoundError, PrecisionLossError) as exc:
+                    assert calls == [], cell
+                    outcomes.add(type(exc).__name__)
+                except FloatingPointError:
+                    outcomes.add("FloatingPointError")
+                else:
+                    assert math.isfinite(total), cell
+                    outcomes.add("converged")
+        assert outcomes == {"converged", "TailBoundError", "PrecisionLossError",
+                            "FloatingPointError"}
 
     def test_n_sums_reject_bad_tol(self, monkeypatch):
         # the tol check comes before the stop is solved
@@ -352,14 +409,18 @@ class TestNumericSum:
     def test_tail_bound_exhaustion(self):
         # at lambda pi / a = 0.006 the sum needs more than its 4000 terms,
         # which the budget check sees before the first term is summed
-        with pytest.raises(TailBoundError) as info:
+        with pytest.raises(TailBoundError):
             force_sum_numeric(1.0, Regulator(0.006 / math.pi))
-        assert info.value.bound > 0.0
-        assert info.value.partial_sum == 0.0
 
-    @pytest.mark.parametrize("ratio", [1e-150, 1e-100, 1e-20, 1e-10, 1e-5,
-                                       0.006])
-    def test_budget_shortfall_fails_before_any_integral(self, ratio,
+    @pytest.mark.parametrize("a, lam", [
+        *(pytest.param(1.0, ratio / math.pi, id=str(ratio))
+          for ratio in (1e-150, 1e-100, 1e-20, 1e-10, 1e-5, 0.006)),
+        # the exp-sinh scale 1/beta^2 of the first row would be inf
+        pytest.param(1.0, 1e-200, id="3.1e-200"),
+        # lambda pi / a underflows to 0
+        pytest.param(1e300, 1e-30, id="0.0"),
+    ])
+    def test_budget_shortfall_fails_before_any_integral(self, a, lam,
                                                         monkeypatch):
         # |F| is the tail bound past n = 0, so no stop within 4000 terms is
         # possible, and none of the radial integrals runs
@@ -372,10 +433,11 @@ class TestNumericSum:
 
         monkeypatch.setattr(numerics, "integrate_semi_infinite",
                             counting_kernel)
+        ratio = re.escape(f"{lam * math.pi / a:.3e}")
         with pytest.raises(TailBoundError,
-                           match=f"lambda\\*pi/a = {ratio:.3e} is below the "
+                           match=f"lambda\\*pi/a = {ratio} is below the "
                                  "4000-term budget: .* after 4000 terms"):
-            force_sum_numeric(1.0, Regulator(ratio / math.pi))
+            force_sum_numeric(a, Regulator(lam))
         assert calls == []
 
     def test_converges_just_above_the_budget(self):
@@ -452,26 +514,14 @@ class TestNumericSum:
         assert converged == (75 if tol > 1e-11 else 72)
         assert misses == []
 
-    def test_overflowing_row_scale_fails_before_any_integral(self, monkeypatch):
-        # at lambda pi / a = 3.1e-200 the exp-sinh scale 1/beta^2 of the
-        # first row is inf, so every abscissa would be inf
-        calls = []
-        monkeypatch.setattr(numerics, "integrate_semi_infinite",
-                            lambda *args, **kwargs: calls.append(args))
-        with pytest.raises(PrecisionLossError,
-                           match=r"lambda\*pi/a = 3\.142e-200: the exp-sinh "
-                                 r"scale 1/beta\^2"):
-            force_sum_numeric(1.0, Regulator(1e-200))
-        assert calls == []
-
 
 class TestSeries:
     def test_surviving_orders(self):
         assert list(series_terms(1.0, Regulator(0.1), 8)) == [0, 4, 6, 8]
-        assert list(series_coefficients(8)) == [0, 4, 6, 8]
+        assert [h for h, _, _ in regsum._series_table(8)] == [0, 4, 6, 8]
 
     def test_exact_coefficients(self):
-        terms = series_coefficients(8)
+        terms = {h: (num, den) for h, num, den in regsum._series_table(8)}
         assert terms[0] == (-1, 1)
         assert terms[4] == (1, 240)
         assert terms[6] == (-1, 3024)
@@ -487,11 +537,7 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_terms(1.0, Regulator(0.1), 4)
         with pytest.raises(ValueError):
-            series_coefficients(3)
-
-    def test_coefficients_are_fresh_dicts(self):
-        series_coefficients(8)[4] = (0, 1)
-        assert series_coefficients(8)[4] == (1, 240)
+            bernoulli_numbers(3)
 
     def test_integer_table_matches_fraction_recurrence(self):
         # reference: the recurrence and the series coefficient in Fractions
@@ -509,8 +555,6 @@ class TestSeries:
                 (b.numerator, b.denominator) for b in bernoulli)
             assert regsum._series_table(h_max) == tuple(
                 (h, c.numerator, c.denominator) for h, c in want.items())
-            assert series_coefficients(h_max) == {
-                h: (c.numerator, c.denominator) for h, c in want.items()}
             if h_max >= 5:
                 assert series_terms(a, Regulator(lam), h_max) == {
                     h: (float(c) * math.pi ** (h - 2)

@@ -23,11 +23,12 @@ physics says a field component vanishes on a plate, the evaluator then
 returns exactly 0.0 rather than sin(n pi) of order machine epsilon, which
 keeps boundary statements in downstream checks exact.
 
-electric_square_on_grid and magnetic_square_on_grid return |E|^2 and |B|^2
-on a grid without building the stacked (..., 3) field.  They square the
-components in place and add them x + y + z, so their values are bit for
-bit np.sum(electric_mode_on_grid(...)**2, axis=-1) and its magnetic
-counterpart.
+fields_on_grid returns E and B on a grid of broadcasting coordinates from
+one trig pass for both.  electric_square_on_grid and magnetic_square_on_grid
+return |E|^2 and |B|^2 on a grid without building the stacked (..., 3)
+field.  They square the components in place and add them x + y + z, so
+their values are bit for bit np.sum(E**2, axis=-1) and np.sum(B**2,
+axis=-1) of fields_on_grid's fields.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ __all__ = [
     "wave_vector",
     "mode_amplitudes",
     "electric_mode_at",
-    "electric_mode_on_grid",
     "magnetic_mode_at",
-    "magnetic_mode_on_grid",
+    "fields_on_grid",
     "electric_square_on_grid",
     "magnetic_square_on_grid",
     "transversality_residual",
@@ -216,18 +216,24 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry,
     return ModeAmplitudes(*(norm * (c * u + s * v) for u, v in zip(e1, e2)))
 
 
-def _electric_components(tx, ty, tz, amp: ModeAmplitudes):
-    """Yield E_x, E_y, E_z from phase arrays that broadcast; each sin and cos
-    is taken once, and each component has the full broadcast shape."""
-    sx, sy, sz, cx, cy, cz = _sin_cos_pi(tx, ty, tz)
+def _trig(wv: WaveVector, x, y, z):
+    """sin and cos of the three phases of the mode at broadcasting x, y, z:
+    the one trig pass that every field evaluator here builds on."""
+    return _sin_cos_pi(*wv.phases(x, y, z))
+
+
+def _electric_components(trig, amp: ModeAmplitudes):
+    """Yield E_x, E_y, E_z from one _trig pass; each component has the full
+    broadcast shape."""
+    sx, sy, sz, cx, cy, cz = trig
     yield amp.a_x * cx * sy * sz
     yield amp.a_y * sx * cy * sz
     yield amp.a_z * sx * sy * cz
 
 
-def _magnetic_components(tx, ty, tz, wv: WaveVector, amp: ModeAmplitudes):
+def _magnetic_components(trig, wv: WaveVector, amp: ModeAmplitudes):
     """Yield B_x, B_y, B_z of curl(E)/omega; see _electric_components."""
-    sx, sy, sz, cx, cy, cz = _sin_cos_pi(tx, ty, tz)
+    sx, sy, sz, cx, cy, cz = trig
     omega = wv.k
     yield (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz / omega
     yield -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz / omega
@@ -254,24 +260,8 @@ def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     components are exactly 0.0 on the plates z = 0 and z = a.
     """
     import numpy as np
-    p = np.asarray(point, dtype=float)
-    return np.stack(tuple(_electric_components(
-        *wv.phases(*np.moveaxis(p, -1, 0)), amp)), axis=-1)
-
-
-def electric_mode_on_grid(x, y, z, wv: WaveVector,
-                          amp: ModeAmplitudes) -> np.ndarray:
-    """electric_mode_at, bit for bit, on the grid of broadcasting x, y, z."""
-    import numpy as np
-    return np.stack(tuple(_electric_components(*wv.phases(x, y, z), amp)),
-                    axis=-1)
-
-
-def electric_square_on_grid(x, y, z, wv: WaveVector,
-                            amp: ModeAmplitudes) -> np.ndarray:
-    """|E|^2 on the grid, bit for bit np.sum(electric_mode_on_grid(...)**2,
-    axis=-1), without the stacked (..., 3) field."""
-    return _square_sum(_electric_components(*wv.phases(x, y, z), amp))
+    trig = _trig(wv, *np.moveaxis(np.asarray(point, dtype=float), -1, 0))
+    return np.stack(tuple(_electric_components(trig, amp)), axis=-1)
 
 
 def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
@@ -282,23 +272,32 @@ def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     dropped quarter-period phase.
     """
     import numpy as np
-    p = np.asarray(point, dtype=float)
-    return np.stack(tuple(_magnetic_components(
-        *wv.phases(*np.moveaxis(p, -1, 0)), wv, amp)), axis=-1)
+    trig = _trig(wv, *np.moveaxis(np.asarray(point, dtype=float), -1, 0))
+    return np.stack(tuple(_magnetic_components(trig, wv, amp)), axis=-1)
 
 
-def magnetic_mode_on_grid(x, y, z, wv: WaveVector,
-                          amp: ModeAmplitudes) -> np.ndarray:
-    """Magnetic amplitude profile on a grid; see electric_mode_on_grid."""
+def fields_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(E, B) on the grid of broadcasting x, y, z, each of shape (..., 3)
+    and bit for bit electric_mode_at and magnetic_mode_at at the grid's
+    points, from one trig pass for both fields."""
     import numpy as np
-    return np.stack(tuple(_magnetic_components(*wv.phases(x, y, z), wv, amp)),
-                    axis=-1)
+    trig = _trig(wv, x, y, z)
+    return (np.stack(tuple(_electric_components(trig, amp)), axis=-1),
+            np.stack(tuple(_magnetic_components(trig, wv, amp)), axis=-1))
+
+
+def electric_square_on_grid(x, y, z, wv: WaveVector,
+                            amp: ModeAmplitudes) -> np.ndarray:
+    """|E|^2 on the grid, bit for bit np.sum(E**2, axis=-1) of
+    fields_on_grid's E, without the stacked (..., 3) field."""
+    return _square_sum(_electric_components(_trig(wv, x, y, z), amp))
 
 
 def magnetic_square_on_grid(x, y, z, wv: WaveVector,
                             amp: ModeAmplitudes) -> np.ndarray:
     """|B|^2 on the grid; see electric_square_on_grid."""
-    return _square_sum(_magnetic_components(*wv.phases(x, y, z), wv, amp))
+    return _square_sum(_magnetic_components(_trig(wv, x, y, z), wv, amp))
 
 
 def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:

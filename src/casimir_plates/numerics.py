@@ -208,8 +208,7 @@ def integrate_semi_infinite(
             return QuadratureResult(value=value, error_estimate=estimate,
                                     evaluations=evaluations)
     raise QuadratureError(
-        f"exp-sinh quadrature did not converge within {_DE_LEVELS} levels "
-        f"(tol={tol:g})",
+        f"exp-sinh quadrature did not converge within {_DE_LEVELS} levels",
         value=value, error_estimate=estimate, evaluations=evaluations)
 
 
@@ -298,7 +297,7 @@ def fit_linear_basis(samples: Iterable[tuple[float, float]],
     scaled, it measures collinearity, not the scale of columns like x**-4.
     Raises ValueError for samples that are not finite (x, y) pairs, and
     IllConditionedFitError when the condition number exceeds _COND_MAX
-    (1e6) or sigma_min is at most eps * max(m, k) * sigma_max.
+    (1e6), infinite where sigma_min is 0.
     """
     pts = [tuple(map(float, p)) for p in samples]
     if not pts or any(len(p) != 2 or not all(map(math.isfinite, p))
@@ -325,10 +324,7 @@ def fit_linear_basis(samples: Iterable[tuple[float, float]],
     columns = [[v / s for v in col] for col, s in zip(design, scale)]
     squares, v = _jacobi_svd(columns)
     sigma_max, sigma_min = math.sqrt(max(squares)), math.sqrt(min(squares))
-    if sigma_min <= sys.float_info.epsilon * max(len(x), len(exps)) * sigma_max:
-        raise IllConditionedFitError(
-            "rank-deficient design matrix", condition_estimate=math.inf)
-    cond = sigma_max / sigma_min
+    cond = sigma_max / sigma_min if sigma_min else math.inf
     if cond > _COND_MAX:
         raise IllConditionedFitError(
             f"condition estimate {cond:.3e} exceeds limit {_COND_MAX:.3e}",

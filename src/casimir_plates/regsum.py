@@ -14,9 +14,10 @@ with n the plate-normal mode number.  Units are natural (hbar = c = 1), so
 every value here is in units of hbar c.  decompose's table holds the three
 routes of the command line, each one entry plus its kernel: closed_form
 (the per-n geometric series summed exactly), numeric_sum (the n-sum with
-each R_n integrated numerically) and series (an asymptotic expansion in
-lambda via Bernoulli numbers).  per-n (force_per_n_sum: R_n replaced by its
-exact value (1/lambda) e^(-lambda n pi/a)) is verify's oracle.
+each R_n integrated numerically) and series (the Bernoulli series in
+x = lambda pi / a, convergent for x < 2 pi).  per-n (force_per_n_sum: R_n
+replaced by its exact value (1/lambda) e^(-lambda n pi/a)) is verify's
+oracle.
 
 The series exposes the small-lambda structure: a lambda^-4 pole whose
 coefficient -hbar c / pi^2 does not depend on the plate separation, a
@@ -420,7 +421,7 @@ _SERIES_H_MAX = 8
 
 
 def series_terms(a: float, reg: Regulator, h_max: int) -> dict[int, float]:
-    """Terms of the asymptotic expansion of F(a, lambda) through order h_max.
+    """Terms of the Bernoulli series of F(a, lambda) through order h_max.
 
     Expanding q (1+q) / (1-q)^3 = sum_h B_h (-x)^h (h-1)(h-2) / (2 h!) in
     x = lambda pi / a term by term gives order-h contribution
@@ -430,8 +431,9 @@ def series_terms(a: float, reg: Regulator, h_max: int) -> dict[int, float]:
 
     h = 1 and h = 2 vanish through the (h-1)(h-2) factor and odd h >= 3
     through B_h; the returned {h: term_h} holds the other orders, h
-    increasing.  The expansion is asymptotic in lam, so h_max (at least 5,
-    past the finite part) is a truncation order, not a convergence knob.
+    increasing.  The series converges for x < 2 pi, the poles of
+    x / (e^x - 1) at +-2 pi i (DLMF 24.2.1); h_max is at least 5, past the
+    finite part.
     """
     check_positive_finite("a", a)
     if h_max < 5:
@@ -443,13 +445,12 @@ def series_terms(a: float, reg: Regulator, h_max: int) -> dict[int, float]:
 
 
 def series_value(a: float, reg: Regulator) -> tuple[float, float]:
-    """Asymptotic series for F(a, lambda) through order 8, with an estimate.
+    """Bernoulli series for F(a, lambda) through order 8, with an estimate.
 
     Returns (value, estimate).  The estimate is the magnitude of the first
-    omitted term, order 10 (order 9 vanishes), the usual heuristic for an
-    asymptotic series, plus a rounding term 4 m eps sum |term_h| for the
-    m terms summed, which dominates below lambda pi / a of about 0.1,
-    where the pole and the finite part cancel.
+    omitted term, order 10 (order 9 vanishes), plus a rounding term
+    4 m eps sum |term_h| for the m terms summed, which dominates below
+    lambda pi / a of about 0.1, where the pole and the finite part cancel.
     """
     terms = series_terms(a, reg, _SERIES_H_MAX + 2)
     estimate = abs(terms.pop(_SERIES_H_MAX + 2))

@@ -3,15 +3,16 @@
 Averages here are spatial means of squared standing-wave profiles; the
 amplitude normalization in modes.py is defined for exactly this convention.
 Units are natural (hbar = c = eps0 = mu0 = 1).  Under this convention the
-zz component of the stress tensor, averaged over a plate, collapses to the
-closed form
+zz component of the stress tensor, averaged over a plate or over any plane
+of the gap between them, collapses to the closed form
 
     sigma_zz = -(1/2) (hbar c / (L^2 a)) k_z^2 / k = (1/L^2) d(omega/2)/da
 
 independent of how the mode's amplitude is distributed between the two
 polarizations.  Two other evaluation routes are kept alongside the closed
-form: a midpoint-grid mean of the tensor over the plate, exact up to
-rounding for the one-mode fields it averages (sigma_zz_direct), and
+form: a midpoint-grid mean of the tensor over a plane at any height z in
+the gap, exact up to rounding for the one-mode fields it averages
+(sigma_zz_direct, whose fields come from modes.fields_on_grid), and
 assembly from the reduced plate averages of E^2 and B^2
 (sigma_zz_from_boundary_averages).  They exist to check the closed form and
 each other, so none of them shares intermediate results.
@@ -26,8 +27,7 @@ from .modes import (
     ModeAmplitudes,
     ModeIndex,
     WaveVector,
-    electric_mode_on_grid,
-    magnetic_mode_on_grid,
+    fields_on_grid,
     mean_square_B_boundary,
     mean_square_E,
     mode_amplitudes,
@@ -71,29 +71,28 @@ def sigma_zz_mode(mode: ModeIndex, geom: CavityGeometry) -> float:
 
 
 def sigma_zz_direct(mode: ModeIndex, geom: CavityGeometry, *,
-                    polarization_angle: float = 0.0,
-                    plate: str = "bottom") -> float:
-    """Averaged normal stress by quadrature of the full tensor over a plate.
+                    polarization_angle: float = 0.0, z: float = 0.0) -> float:
+    """Averaged normal stress by quadrature of the full tensor over a plane.
 
     Builds the mode fields from scratch (generator amplitudes at the given
     polarization angle), evaluates the stress tensor on the cell midpoints
-    of the plate and averages.  The tensor is quadratic in one mode's
-    fields, so along each axis it is a trigonometric polynomial of order at
-    most max(mode), whose mean numerics.mean_over_rectangle takes exactly
-    up to rounding.  Independent of the algebra behind sigma_zz_mode, which
-    is the point.
+    of the plane at height z, 0 <= z <= a (z = 0 and z = a are the plates),
+    and averages.  The plane mean of the zz entry is the same at every
+    height (Brown and Maclay, Phys. Rev. 184, 1272 (1969)).  The tensor is
+    quadratic in one mode's fields, so along each axis it is a
+    trigonometric polynomial of order at most max(mode), whose mean
+    numerics.mean_over_rectangle takes exactly up to rounding.  Independent
+    of the algebra behind sigma_zz_mode, which is the point.  Raises
+    ValueError for a z outside [0, a], NaN included.
     """
     from .numerics import mean_over_rectangle
-    if plate not in ("bottom", "top"):
-        raise ValueError(f"plate must be 'bottom' or 'top', got {plate!r}")
+    if not 0.0 <= z <= geom.a:
+        raise ValueError(f"z must lie in [0, a] = [0, {geom.a!r}], got {z!r}")
     wv = wave_vector(mode, geom)
     amp = mode_amplitudes(mode, geom, polarization_angle)
-    z_plane = 0.0 if plate == "bottom" else geom.a
 
     def plane_zz(xs, ys):
-        e = electric_mode_on_grid(xs, ys, z_plane, wv, amp)
-        b = magnetic_mode_on_grid(xs, ys, z_plane, wv, amp)
-        return stress_tensor(e, b)[..., 2, 2]
+        return stress_tensor(*fields_on_grid(xs, ys, z, wv, amp))[..., 2, 2]
 
     return mean_over_rectangle(plane_zz, geom.L, geom.L, max(mode)).value
 

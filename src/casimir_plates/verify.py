@@ -64,8 +64,7 @@ def check_boundary_zeros() -> CheckResult:
             xs = np.array([0.137, 0.5, 0.891])[:, None, None] * geom.L
             ys = np.array([0.222, 0.77, 0.993])[:, None] * geom.L
             zs = np.array([0.0, geom.a])  # both plates
-            e = modes.electric_mode_on_grid(xs, ys, zs, wv, amp)
-            b = modes.magnetic_mode_on_grid(xs, ys, zs, wv, amp)
+            e, b = modes.fields_on_grid(xs, ys, zs, wv, amp)
             worst = max(worst,
                         float(np.max(np.abs(e[..., 0]))),
                         float(np.max(np.abs(e[..., 1]))),
@@ -232,7 +231,7 @@ def check_sigma_plate_symmetry() -> CheckResult:
     for geom in _GEOMS:
         mode = modes.ModeIndex(1, 2, 2)
         bottom = stress.sigma_zz_direct(mode, geom)
-        top = stress.sigma_zz_direct(mode, geom, plate="top")
+        top = stress.sigma_zz_direct(mode, geom, z=geom.a)
         worst = max(worst, abs(top - bottom) / abs(bottom))
     return _result("sigma_plate_symmetry", worst, 1e-10,
                    "z = a plate vs z = 0 plate")

@@ -13,10 +13,9 @@ from casimir_plates.modes import (
     amplitude_norm_squared,
     divergence_residual,
     electric_mode_at,
-    electric_mode_on_grid,
     electric_square_on_grid,
+    fields_on_grid,
     magnetic_mode_at,
-    magnetic_mode_on_grid,
     magnetic_square_on_grid,
     mean_square_B_boundary,
     mean_square_E,
@@ -185,13 +184,31 @@ class TestFieldEvaluation:
         z = np.array(zf + [0.0, 1.0]) * geom.a
         points = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
         axes = (x[:, None, None], y[None, :, None], z[None, None, :])
-        e = electric_mode_on_grid(*axes, wv, amp)
-        b = magnetic_mode_on_grid(*axes, wv, amp)
+        e, b = fields_on_grid(*axes, wv, amp)
         assert e.shape == b.shape == points.shape
         assert np.array_equal(e, electric_mode_at(points, wv, amp))
         assert np.array_equal(b, magnetic_mode_at(points, wv, amp))
         assert np.all(e[:, :, -2:, :2] == 0.0)
         assert np.all(b[:, :, -2:, 2] == 0.0)
+
+    def test_grid_takes_one_trig_pass_for_both_fields(self, monkeypatch):
+        calls = []
+        sin_cos_pi = modes._sin_cos_pi
+
+        def spy(*ts):
+            calls.append(ts)
+            return sin_cos_pi(*ts)
+
+        monkeypatch.setattr(modes, "_sin_cos_pi", spy)
+        geom = CavityGeometry(a=0.7, L=2.0)
+        mode = ModeIndex(2, 1, 3)
+        wv, amp = wave_vector(mode, geom), mode_amplitudes(mode, geom, 0.6)
+        x, y, z = np.ix_(_midpoints(4, geom.L), _midpoints(4, geom.L),
+                         _midpoints(5, geom.a))
+        for k, zs in enumerate((z, 0.0, geom.a), start=1):
+            e, b = fields_on_grid(x, y, zs, wv, amp)
+            assert len(calls) == k
+            assert e.shape == b.shape == np.broadcast(x, y, zs).shape + (3,)
 
 
 class TestSquareEvaluators:
@@ -209,10 +226,10 @@ class TestSquareEvaluators:
     @staticmethod
     def _assert_same_bytes(x, y, z, wv, amp):
         e = electric_square_on_grid(x, y, z, wv, amp)
-        want_e = np.sum(electric_mode_on_grid(x, y, z, wv, amp)**2, axis=-1)
         b = magnetic_square_on_grid(x, y, z, wv, amp)
-        want_b = np.sum(magnetic_mode_on_grid(x, y, z, wv, amp)**2,
-                        axis=-1)
+        e_field, b_field = fields_on_grid(x, y, z, wv, amp)
+        want_e = np.sum(e_field**2, axis=-1)
+        want_b = np.sum(b_field**2, axis=-1)
         assert e.shape == want_e.shape and e.tobytes() == want_e.tobytes()
         assert b.shape == want_b.shape and b.tobytes() == want_b.tobytes()
 

@@ -148,13 +148,26 @@ class TestDirectQuadrature:
         geom = CavityGeometry(a=1.0, L=1.0)
         mode = ModeIndex(1, 2, 2)
         bottom = sigma_zz_direct(mode, geom)
-        top = sigma_zz_direct(mode, geom, plate="top")
+        top = sigma_zz_direct(mode, geom, z=geom.a)
         assert top == pytest.approx(bottom, rel=1e-12)
 
-    def test_rejects_unknown_plate(self):
-        with pytest.raises(ValueError):
-            sigma_zz_direct(ModeIndex(1, 1, 1), CavityGeometry(a=1.0, L=1.0),
-                            plate="side")
+    @pytest.mark.parametrize("geom", [CavityGeometry(a=1.0, L=1.3),
+                                      CavityGeometry(a=0.7, L=2.0)])
+    @pytest.mark.parametrize("mode", [ModeIndex(1, 1, 1), ModeIndex(2, 3, 1),
+                                      ModeIndex(1, 2, 3), ModeIndex(3, 1, 2)])
+    def test_every_plane_of_the_gap_matches_closed_form(self, geom, mode):
+        # the plane mean of sigma_zz is uniform across the gap (Brown and
+        # Maclay, Phys. Rev. 184, 1272 (1969)), plates included
+        want = sigma_zz_mode(mode, geom)
+        for f in (0.0, 0.17, 0.5, 0.83, 1.0):
+            got = sigma_zz_direct(mode, geom, z=f * geom.a)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), f
+
+    def test_rejects_height_outside_the_gap(self):
+        geom = CavityGeometry(a=1.0, L=1.0)
+        for z in (-1e-9, geom.a + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="z must lie in"):
+                sigma_zz_direct(ModeIndex(1, 1, 1), geom, z=z)
 
 
 class TestBoundaryAverageAssembly:

@@ -26,9 +26,9 @@ keeps boundary statements in downstream checks exact.
 fields_on_grid returns E and B on a grid of broadcasting coordinates from
 one trig pass for both.  electric_square_on_grid and magnetic_square_on_grid
 return |E|^2 and |B|^2 on a grid without building the stacked (..., 3)
-field.  They square the components in place and add them x + y + z, so
-their values are bit for bit np.sum(E**2, axis=-1) and np.sum(B**2,
-axis=-1) of fields_on_grid's fields.
+field.  They add the squared components x + y + z, so their values are bit
+for bit np.sum(E**2, axis=-1) and np.sum(B**2, axis=-1) of fields_on_grid's
+fields.
 """
 
 from __future__ import annotations
@@ -72,21 +72,6 @@ def _sinpi(t):
     return sign * np.sin(np.pi * (t - nearest))
 
 
-def _sin_cos_pi(tx, ty, tz):
-    """sin(pi t) of each phase array, then cos(pi t) = sin(pi (1/2 - t)),
-    which is exactly 0.0 at half-integer t.  One _sinpi pass over all six;
-    it acts elementwise, so each value is what a separate call gives."""
-    import numpy as np
-    ts = [np.asarray(t, dtype=float) for t in (tx, ty, tz)]
-    flat = np.concatenate([t.ravel() for t in ts])
-    values = _sinpi(np.concatenate((flat, 0.5 - flat)))
-    out, start = [], 0
-    for t in ts + ts:
-        out.append(values[start:start + t.size].reshape(t.shape))
-        start += t.size
-    return out
-
-
 # A NamedTuple body may not define __new__, so a record that validates its
 # fields does so in a subclass of its field tuple.
 class _ModeIndexFields(NamedTuple):
@@ -128,9 +113,9 @@ class CavityGeometry(_CavityGeometryFields):
 class WaveVector(NamedTuple):
     """Cartesian wave vector of a cavity mode, carrying the mode and geometry.
 
-    Phase arguments are formed from the exact rationals n * (coordinate /
-    length), which is what makes the boundary zeros of the field evaluators
-    exact.
+    The field evaluators form their phases from the exact rationals
+    n * (coordinate / length) of its mode and geometry, which is what makes
+    their boundary zeros exact.
     """
 
     k_x: float
@@ -148,14 +133,6 @@ class WaveVector(NamedTuple):
     def k(self) -> float:
         """Total wave number |k| = sqrt(kappa^2 + k_z^2)."""
         return math.sqrt(self.k_x**2 + self.k_y**2 + self.k_z**2)
-
-    def phases(self, x, y, z):
-        """Return (t_x, t_y, t_z) such that k_i * coord = pi * t_i."""
-        import numpy as np
-        x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
-        return (self.mode.n_x * (x / self.geom.L),
-                self.mode.n_y * (y / self.geom.L),
-                self.mode.n_z * (z / self.geom.a))
 
 
 class ModeAmplitudes(NamedTuple):
@@ -217,39 +194,40 @@ def mode_amplitudes(mode: ModeIndex, geom: CavityGeometry,
 
 
 def _trig(wv: WaveVector, x, y, z):
-    """sin and cos of the three phases of the mode at broadcasting x, y, z:
-    the one trig pass that every field evaluator here builds on."""
-    return _sin_cos_pi(*wv.phases(x, y, z))
+    """sin(pi t) of the mode's three phases t = n * (coordinate / length)
+    at broadcasting x, y, z, then cos(pi t) = sin(pi (1/2 - t)), which is
+    exactly 0.0 at half-integer t: the one trig pass that every field
+    evaluator here builds on.  One _sinpi pass over all six; it acts
+    elementwise, so each array is what a separate call gives."""
+    import numpy as np
+    lengths = (wv.geom.L, wv.geom.L, wv.geom.a)
+    ts = [n * (np.asarray(c, dtype=float) / length)
+          for n, c, length in zip(wv.mode, (x, y, z), lengths)]
+    flat = np.concatenate([t.ravel() for t in ts])
+    values = _sinpi(np.concatenate((flat, 0.5 - flat)))
+    out, start = [], 0
+    for t in ts + ts:
+        out.append(values[start:start + t.size].reshape(t.shape))
+        start += t.size
+    return out
 
 
 def _electric_components(trig, amp: ModeAmplitudes):
-    """Yield E_x, E_y, E_z from one _trig pass; each component has the full
-    broadcast shape."""
+    """E_x, E_y, E_z from one _trig pass; each has the full broadcast
+    shape."""
     sx, sy, sz, cx, cy, cz = trig
-    yield amp.a_x * cx * sy * sz
-    yield amp.a_y * sx * cy * sz
-    yield amp.a_z * sx * sy * cz
+    return (amp.a_x * cx * sy * sz,
+            amp.a_y * sx * cy * sz,
+            amp.a_z * sx * sy * cz)
 
 
 def _magnetic_components(trig, wv: WaveVector, amp: ModeAmplitudes):
-    """Yield B_x, B_y, B_z of curl(E)/omega; see _electric_components."""
+    """B_x, B_y, B_z of curl(E)/omega; see _electric_components."""
     sx, sy, sz, cx, cy, cz = trig
     omega = wv.k
-    yield (amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz / omega
-    yield -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz / omega
-    yield (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz / omega
-
-
-def _square_sum(components) -> np.ndarray:
-    """x^2 + y^2 + z^2 in the first buffer, squared in place and added in
-    the order of np.sum(stacked**2, axis=-1); two buffers at a time."""
-    total = next(components)
-    total *= total
-    for c in components:
-        c *= c
-        total += c
-        del c
-    return total
+    return ((amp.a_z * wv.k_y - amp.a_y * wv.k_z) * sx * cy * cz / omega,
+            -(amp.a_z * wv.k_x - amp.a_x * wv.k_z) * cx * sy * cz / omega,
+            (amp.a_y * wv.k_x - amp.a_x * wv.k_y) * cx * cy * sz / omega)
 
 
 def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
@@ -261,7 +239,7 @@ def electric_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     """
     import numpy as np
     trig = _trig(wv, *np.moveaxis(np.asarray(point, dtype=float), -1, 0))
-    return np.stack(tuple(_electric_components(trig, amp)), axis=-1)
+    return np.stack(_electric_components(trig, amp), axis=-1)
 
 
 def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
@@ -273,7 +251,7 @@ def magnetic_mode_at(point, wv: WaveVector, amp: ModeAmplitudes) -> np.ndarray:
     """
     import numpy as np
     trig = _trig(wv, *np.moveaxis(np.asarray(point, dtype=float), -1, 0))
-    return np.stack(tuple(_magnetic_components(trig, wv, amp)), axis=-1)
+    return np.stack(_magnetic_components(trig, wv, amp), axis=-1)
 
 
 def fields_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes
@@ -283,21 +261,23 @@ def fields_on_grid(x, y, z, wv: WaveVector, amp: ModeAmplitudes
     points, from one trig pass for both fields."""
     import numpy as np
     trig = _trig(wv, x, y, z)
-    return (np.stack(tuple(_electric_components(trig, amp)), axis=-1),
-            np.stack(tuple(_magnetic_components(trig, wv, amp)), axis=-1))
+    return (np.stack(_electric_components(trig, amp), axis=-1),
+            np.stack(_magnetic_components(trig, wv, amp), axis=-1))
 
 
 def electric_square_on_grid(x, y, z, wv: WaveVector,
                             amp: ModeAmplitudes) -> np.ndarray:
     """|E|^2 on the grid, bit for bit np.sum(E**2, axis=-1) of
     fields_on_grid's E, without the stacked (..., 3) field."""
-    return _square_sum(_electric_components(_trig(wv, x, y, z), amp))
+    e_x, e_y, e_z = _electric_components(_trig(wv, x, y, z), amp)
+    return e_x * e_x + e_y * e_y + e_z * e_z
 
 
 def magnetic_square_on_grid(x, y, z, wv: WaveVector,
                             amp: ModeAmplitudes) -> np.ndarray:
     """|B|^2 on the grid; see electric_square_on_grid."""
-    return _square_sum(_magnetic_components(_trig(wv, x, y, z), wv, amp))
+    b_x, b_y, b_z = _magnetic_components(_trig(wv, x, y, z), wv, amp)
+    return b_x * b_x + b_y * b_y + b_z * b_z
 
 
 def transversality_residual(amp: ModeAmplitudes, wv: WaveVector) -> float:

@@ -456,7 +456,13 @@ def series_value(a: float, reg: Regulator) -> tuple[float, float]:
     estimate = abs(terms.pop(_SERIES_H_MAX + 2))
     rounding = (4 * len(terms) * sys.float_info.epsilon
                 * math.fsum(map(abs, terms.values())))
-    return sum(terms.values()), estimate + rounding
+    # left to right, the order the rounding term is sized for: the builtin
+    # sum compensates float sums from Python 3.12 on, and would move the
+    # last digit between interpreters
+    value = 0.0
+    for term in terms.values():
+        value += term
+    return value, estimate + rounding
 
 
 def asymptotic_parts(a: float) -> tuple[float, float]:
@@ -474,9 +480,21 @@ def asymptotic_parts(a: float) -> tuple[float, float]:
 
 
 def casimir_closed_form(a: float) -> float:
-    """Magnitude pi^2 hbar c / (240 a^4) of the attractive Casimir pressure."""
+    """Magnitude pi^2 hbar c / (240 a^4) of the attractive Casimir pressure.
+
+    Raises PrecisionLossError, naming a, unless the pressure is a finite
+    normal double: a below about 3.9e-78 overflows it (or a**4 underflows
+    to 0), and a above about 2.9e76 overflows 240 a^4 (or a**4).
+    """
     check_positive_finite("a", a)
-    return math.pi**2 / (240.0 * a**4)
+    try:
+        pressure = math.pi**2 / (240.0 * a**4)
+    except ArithmeticError:
+        pressure = math.nan
+    if not sys.float_info.min <= pressure < math.inf:
+        raise PrecisionLossError(f"a = {a!r}: the Casimir pressure "
+                                 "pi^2 / (240 a^4) leaves the double range")
+    return pressure
 
 
 def default_lambda_grid(a: float) -> list[float]:

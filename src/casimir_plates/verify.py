@@ -43,11 +43,6 @@ class CheckResult(NamedTuple):
         return self.residual <= self.bound
 
 
-def _result(name: str, residual: float, bound: float, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, residual=float(residual), bound=float(bound),
-                       detail=detail)
-
-
 def _mode_grid(n_max: int):
     for n in itertools.product(range(1, n_max + 1), repeat=3):
         yield modes.ModeIndex(*n)
@@ -69,8 +64,8 @@ def check_boundary_zeros() -> CheckResult:
                         float(np.max(np.abs(e[..., 0]))),
                         float(np.max(np.abs(e[..., 1]))),
                         float(np.max(np.abs(b[..., 2]))))
-    return _result("boundary_zeros_exact", worst, 0.0,
-                   "tangential E and B_z on both plates")
+    return CheckResult("boundary_zeros_exact", worst, 0.0,
+                       "tangential E and B_z on both plates")
 
 
 def check_transversality() -> CheckResult:
@@ -82,7 +77,7 @@ def check_transversality() -> CheckResult:
             for angle in (0.0, 0.35, 1.2, math.pi / 2):
                 amp = modes.mode_amplitudes(mode, geom, angle)
                 worst = max(worst, modes.transversality_residual(amp, wv))
-    return _result("generator_transversality", worst, 1e-12)
+    return CheckResult("generator_transversality", worst, 1e-12)
 
 
 def check_fd_divergence() -> CheckResult:
@@ -104,8 +99,8 @@ def check_fd_divergence() -> CheckResult:
                 # normalize by the field scale |A| k so the bound is
                 # geometry independent
                 worst = max(worst, abs(res) / (math.sqrt(amp.norm_squared) * wv.k))
-    return _result("fd_divergence_zero", worst, 1e-8,
-                   "relative to |A| k, step 1e-4")
+    return CheckResult("fd_divergence_zero", worst, 1e-8,
+                       "relative to |A| k, step 1e-4")
 
 
 def check_fd_divergence_rate() -> CheckResult:
@@ -124,8 +119,8 @@ def check_fd_divergence_rate() -> CheckResult:
     r_h2 = abs(modes.divergence_residual(pt, wv, amp, step=5e-4))
     ratio = r_h / r_h2
     deviation = abs(ratio - 4.0)
-    return _result("fd_divergence_second_order", deviation, 0.7,
-                   f"halving ratio {ratio:.3f}, expected 4")
+    return CheckResult("fd_divergence_second_order", deviation, 0.7,
+                       f"halving ratio {ratio:.3f}, expected 4")
 
 
 def check_bulk_mean_square() -> CheckResult:
@@ -140,8 +135,8 @@ def check_bulk_mean_square() -> CheckResult:
                 lambda *xyz: modes.electric_square_on_grid(*xyz, wv, amp),
                 geom.L, geom.L, geom.a, max(mode)).value
             worst = max(worst, abs(got - expected) / expected)
-    return _result("bulk_mean_square_E", worst, 1e-9,
-                   "3-D quadrature vs A^2/8, modes n <= 3")
+    return CheckResult("bulk_mean_square_E", worst, 1e-9,
+                       "3-D quadrature vs A^2/8, modes n <= 3")
 
 
 def check_boundary_mean_squares() -> CheckResult:
@@ -164,8 +159,9 @@ def check_boundary_mean_squares() -> CheckResult:
             norm = modes.amplitude_norm_squared(mode, geom)
             worst = max(worst, abs(got_e - want_e) / norm,
                         abs(got_b - want_b) / norm)
-    return _result("boundary_mean_squares", worst, 1e-9,
-                   "2-D quadrature vs A_z^2/4 and (A_z^2 + A^2 k_z^2/k^2)/4c^2")
+    return CheckResult("boundary_mean_squares", worst, 1e-9,
+                       "2-D quadrature vs A_z^2/4 and "
+                       "(A_z^2 + A^2 k_z^2/k^2)/4c^2")
 
 
 def check_curl_consistency() -> CheckResult:
@@ -189,8 +185,8 @@ def check_curl_consistency() -> CheckResult:
                              jac[1, 0] - jac[0, 1]]) / omega
             b = modes.magnetic_mode_at(point, wv, amp)
             worst = max(worst, float(np.linalg.norm(b_fd - b)) / bound)
-    return _result("curl_matches_fd", worst, 1.0,
-                   "relative to the second-order stencil error bound")
+    return CheckResult("curl_matches_fd", worst, 1.0,
+                       "relative to the second-order stencil error bound")
 
 
 def check_sigma_negative() -> CheckResult:
@@ -199,8 +195,8 @@ def check_sigma_negative() -> CheckResult:
     for geom in _GEOMS:
         for mode in _mode_grid(5):
             worst = max(worst, stress.sigma_zz_mode(mode, geom))
-    return _result("sigma_zz_negative", worst, 0.0,
-                   "largest sigma_zz over modes n <= 5")
+    return CheckResult("sigma_zz_negative", worst, 0.0,
+                       "largest sigma_zz over modes n <= 5")
 
 
 def check_sigma_oracle(sigma_factor: float = 1.0) -> CheckResult:
@@ -211,8 +207,8 @@ def check_sigma_oracle(sigma_factor: float = 1.0) -> CheckResult:
             want = stress.sigma_zz_mode(mode, geom) * sigma_factor
             got = stress.sigma_zz_direct(mode, geom, polarization_angle=0.5)
             worst = max(worst, abs(got - want) / abs(want))
-    return _result("sigma_oracle_agreement", worst, 1e-8,
-                   "direct tensor quadrature vs closed form")
+    return CheckResult("sigma_oracle_agreement", worst, 1e-8,
+                       "direct tensor quadrature vs closed form")
 
 
 def check_sigma_direction_independence() -> CheckResult:
@@ -222,7 +218,7 @@ def check_sigma_direction_independence() -> CheckResult:
     values = [stress.sigma_zz_direct(mode, geom, polarization_angle=ang)
               for ang in (0.0, 0.8, math.pi / 2)]
     spread = (max(values) - min(values)) / abs(values[0])
-    return _result("sigma_direction_independence", spread, 1e-10)
+    return CheckResult("sigma_direction_independence", spread, 1e-10)
 
 
 def check_sigma_plate_symmetry() -> CheckResult:
@@ -233,8 +229,8 @@ def check_sigma_plate_symmetry() -> CheckResult:
         bottom = stress.sigma_zz_direct(mode, geom)
         top = stress.sigma_zz_direct(mode, geom, z=geom.a)
         worst = max(worst, abs(top - bottom) / abs(bottom))
-    return _result("sigma_plate_symmetry", worst, 1e-10,
-                   "z = a plate vs z = 0 plate")
+    return CheckResult("sigma_plate_symmetry", worst, 1e-10,
+                       "z = a plate vs z = 0 plate")
 
 
 def check_az_cancellation() -> CheckResult:
@@ -255,7 +251,7 @@ def check_az_cancellation() -> CheckResult:
             vals.append(got)
             worst = max(worst, abs(got - want) / abs(want))
         worst = max(worst, (max(vals) - min(vals)) / abs(vals[0]))
-    return _result("sigma_az_cancellation", worst, 1e-13)
+    return CheckResult("sigma_az_cancellation", worst, 1e-13)
 
 
 def check_bernoulli_generating_function() -> CheckResult:
@@ -263,11 +259,14 @@ def check_bernoulli_generating_function() -> CheckResult:
     table = regsum.bernoulli_numbers(20)
     worst = 0.0
     for x in (0.1, 0.5, 1.0):
-        partial = sum(num / den * x**h / math.factorial(h)
-                      for h, (num, den) in enumerate(table))
+        # left to right, on every Python: the builtin sum compensates
+        # float sums from 3.12 on
+        partial = 0.0
+        for h, (num, den) in enumerate(table):
+            partial += num / den * x**h / math.factorial(h)
         exact = x / math.expm1(x)
         worst = max(worst, abs(partial - exact) / abs(exact))
-    return _result("bernoulli_generating_function", worst, 1e-12)
+    return CheckResult("bernoulli_generating_function", worst, 1e-12)
 
 
 def check_route_agreement() -> CheckResult:
@@ -285,8 +284,8 @@ def check_route_agreement() -> CheckResult:
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = max(worst, abs(values[i] - values[j]) / scale)
-    return _result("route_agreement", worst, 1e-8,
-                   "pairwise at lambda pi / a in {0.1, 1}")
+    return CheckResult("route_agreement", worst, 1e-8,
+                       "pairwise at lambda pi / a in {0.1, 1}")
 
 
 def check_asymptotic_split() -> CheckResult:
@@ -298,8 +297,8 @@ def check_asymptotic_split() -> CheckResult:
             dec = regsum.decompose(a, reg)
             allowance = 2.0 * abs(regsum.series_terms(a, reg, 6)[6])
             worst = max(worst, abs(dec.remainder) / allowance)
-    return _result("asymptotic_split", worst, 1.0,
-                   "|remainder| vs 2x the first vanishing term")
+    return CheckResult("asymptotic_split", worst, 1.0,
+                       "|remainder| vs 2x the first vanishing term")
 
 
 def check_divergent_coefficient_stability() -> CheckResult:
@@ -310,8 +309,8 @@ def check_divergent_coefficient_stability() -> CheckResult:
         fits.append(regsum.extract_finite_part(a, grid).divergent_coefficient)
     ref, _ = regsum.asymptotic_parts(1.0)
     spread = (max(fits) - min(fits)) / abs(ref)
-    return _result("divergent_coefficient_stability", spread, 1e-6,
-                   "fits at a in {0.5, 1, 2}")
+    return CheckResult("divergent_coefficient_stability", spread, 1e-6,
+                       "fits at a in {0.5, 1, 2}")
 
 
 def check_finite_part_scaling() -> CheckResult:
@@ -329,8 +328,8 @@ def check_finite_part_scaling() -> CheckResult:
     x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
     slope = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
              / math.fsum((x - x_mean) * (x - x_mean) for x in xs))
-    return _result("finite_part_scaling", abs(slope + 4.0), 1e-3,
-                   f"log-log slope {slope:.6f} from fits")
+    return CheckResult("finite_part_scaling", abs(slope + 4.0), 1e-3,
+                       f"log-log slope {slope:.6f} from fits")
 
 
 def run_all(profile: str = "default", *,

@@ -193,21 +193,36 @@ class TestFieldEvaluation:
 
     def test_grid_takes_one_trig_pass_for_both_fields(self, monkeypatch):
         calls = []
-        sin_cos_pi = modes._sin_cos_pi
+        sinpi = modes._sinpi
 
-        def spy(*ts):
-            calls.append(ts)
-            return sin_cos_pi(*ts)
+        def spy(t):
+            calls.append(t)
+            return sinpi(t)
 
-        monkeypatch.setattr(modes, "_sin_cos_pi", spy)
+        monkeypatch.setattr(modes, "_sinpi", spy)
         geom = CavityGeometry(a=0.7, L=2.0)
         mode = ModeIndex(2, 1, 3)
         wv, amp = wave_vector(mode, geom), mode_amplitudes(mode, geom, 0.6)
         x, y, z = np.ix_(_midpoints(4, geom.L), _midpoints(4, geom.L),
                          _midpoints(5, geom.a))
-        for k, zs in enumerate((z, 0.0, geom.a), start=1):
+
+        def points(zs):
+            return np.stack(np.broadcast_arrays(x, y, zs), axis=-1)
+
+        evaluators = (
+            lambda zs: fields_on_grid(x, y, zs, wv, amp),
+            lambda zs: electric_square_on_grid(x, y, zs, wv, amp),
+            lambda zs: magnetic_square_on_grid(x, y, zs, wv, amp),
+            lambda zs: electric_mode_at(points(zs), wv, amp),
+            lambda zs: magnetic_mode_at(points(zs), wv, amp),
+        )
+        for evaluate in evaluators:
+            for zs in (z, 0.0, geom.a):
+                calls.clear()
+                evaluate(zs)
+                assert len(calls) == 1
+        for zs in (z, 0.0, geom.a):
             e, b = fields_on_grid(x, y, zs, wv, amp)
-            assert len(calls) == k
             assert e.shape == b.shape == np.broadcast(x, y, zs).shape + (3,)
 
 
@@ -301,7 +316,9 @@ class TestSinpi:
         rng = np.random.default_rng(len(shapes[0]))
         ts = [rng.uniform(-4.0, 4.0, shape) for shape in shapes]
         ts[0].flat[0] = 0.5  # a half-integer phase, where cos is exactly 0
-        got = modes._sin_cos_pi(*ts)
+        # mode (1, 1, 1) with a = L = 1: the phases are the coordinates
+        geom = CavityGeometry(a=1.0, L=1.0)
+        got = modes._trig(wave_vector(ModeIndex(1, 1, 1), geom), *ts)
         want = ([modes._sinpi(t) for t in ts]
                 + [modes._sinpi(0.5 - t) for t in ts])
         for g, w in zip(got, want):

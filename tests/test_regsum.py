@@ -589,6 +589,34 @@ class TestSeries:
         assert misses == []
 
 
+    def test_value_is_the_left_to_right_sum_of_its_terms(self):
+        # Python 3.12's builtin sum compensates float sums; its rule,
+        # simulated here, moves the last digit at (1, 0.1) and two more
+        # cells of this grid, so the series must not use it
+        def compensated_sum(xs):
+            total, c = 0.0, 0.0
+            for x in xs:
+                t = total + x
+                big, small = (total, x) if abs(total) >= abs(x) else (x, total)
+                c += (big - t) + small
+                total = t
+            return total + c if c and math.isfinite(c) else total
+
+        moved = []
+        for a, lam in itertools.product((0.5, 1.0, 2.0),
+                                        (0.02, 0.05, 0.1, 0.3)):
+            terms = series_terms(a, Regulator(lam), regsum._SERIES_H_MAX + 2)
+            terms.pop(regsum._SERIES_H_MAX + 2)
+            want = 0.0
+            for term in terms.values():
+                want += term
+            assert series_value(a, Regulator(lam))[0] == want, (a, lam)
+            if compensated_sum(terms.values()) != want:
+                moved.append((a, lam))
+        assert (1.0, 0.1) in moved
+        assert series_value(1.0, Regulator(0.1))[0] == -1013.171033522638
+
+
 class TestAsymptoticParts:
     def test_frozen_values(self):
         divergent_coefficient, finite_part = asymptotic_parts(1.0)
@@ -613,6 +641,26 @@ class TestAsymptoticParts:
     def test_si_micrometre_pressure(self):
         got = casimir_closed_form(1e-6) * HBAR_C_SI
         assert got == pytest.approx(0.001300114763085167, rel=1e-12)
+
+    def test_closed_form_refuses_what_it_cannot_represent(self):
+        # a 42-point log grid over the positive doubles and the edges of the
+        # range: below 1.26e-81 a**4 underflows to 0, below 3.89e-78 the
+        # pressure overflows, above 2.94e76 240 a^4 overflows and the
+        # pressure is 0.0, and above 1.16e77 a**4 overflows
+        lo, hi = math.log(5e-324), math.log(1.7e308)
+        grid = [math.exp(lo + k * (hi - lo) / 41) for k in range(42)]
+        smallest, largest = 3.8890473959407526e-78, 2.9418876259360926e+76
+        edges = [1.26e-81, 3.9e-78, 2.9e76, 1.16e77, smallest, largest,
+                 math.nextafter(smallest, 0.0), math.nextafter(largest, 2.0)]
+        for a in grid + edges:
+            if smallest <= a <= largest:
+                got = casimir_closed_form(a)
+                assert got == math.pi**2 / (240.0 * a**4)
+                assert sys.float_info.min <= got < math.inf
+            else:
+                with pytest.raises(PrecisionLossError,
+                                   match=re.escape(f"a = {a!r}: ")):
+                    casimir_closed_form(a)
 
 
 class TestExtraction:
